@@ -92,41 +92,74 @@ let comp_cache_store t key sched =
   Hashtbl.replace t.comp_cache key sched
 
 (* ------------------------------------------------------------------ *)
-(* Spec-source plumbing: the resident model rendered back to source,
-   and one constraint declaration spliced into it.                     *)
+(* The mutation path shared by serving and journal replay.             *)
 (* ------------------------------------------------------------------ *)
 
-let print_model m =
-  match Rt_spec.Printer.print m with
-  | s -> Ok s
-  | exception Invalid_argument e -> Error [ "print: " ^ e ]
+let is_resident t name =
+  List.exists
+    (fun (c : Timing.t) -> c.Timing.name = name)
+    t.model.Model.constraints
 
-let insert_decl src decl =
-  match String.rindex_opt src '}' with
-  | None -> Error [ "malformed system source (no closing brace)" ]
-  | Some i ->
-      Ok
-        (String.sub src 0 i
-        ^ "\n" ^ decl ^ "\n}"
-        ^ String.sub src (i + 1) (String.length src - i - 1))
+(* The candidate model of an admit: the resident model plus the
+   declaration elaborated against the resident communication graph.
+   Returns the declared constraint's name with it. *)
+let candidate t decl =
+  match Rt_spec.Parser.parse_declaration decl with
+  | Error e -> Error [ e ]
+  | Ok c ->
+      let name = c.Rt_spec.Ast.co_name in
+      if is_resident t name then
+        Error [ Printf.sprintf "constraint %S is already resident" name ]
+      else
+        Result.map
+          (fun m' -> (name, m'))
+          (Rt_spec.Elaborate.add_constraint t.model c)
 
-let parse_decl decl =
-  match Rt_spec.Parser.parse_result ("system \"d\" {\n" ^ decl ^ "\n}") with
-  | Error e -> Error [ "declaration: " ^ e ]
-  | Ok sys -> (
-      match
-        ( sys.Rt_spec.Ast.sy_elements,
-          sys.Rt_spec.Ast.sy_edges,
-          sys.Rt_spec.Ast.sy_asserts,
-          sys.Rt_spec.Ast.sy_constraints )
-      with
-      | [], [], [], [ c ] -> Ok c
-      | _ ->
-          Error
-            [
-              "declaration must be exactly one constraint (no elements, \
-               edges or asserts)";
-            ])
+(* The model with [name] retired, its schedule and certificate digest.
+   Shrinking the constraint set can only relax the problem: the resident
+   schedule still verifies, only the certificate must be re-issued
+   against the reduced model ("" once no constraint is left). *)
+let retired t name =
+  if not (is_resident t name) then
+    Error (`Rejected [ Printf.sprintf "unknown constraint %S" name ])
+  else
+    let constraints' =
+      List.filter
+        (fun (c : Timing.t) -> c.Timing.name <> name)
+        t.model.Model.constraints
+    in
+    match Model.make ~comm:t.model.Model.comm ~constraints:constraints' with
+    | exception Invalid_argument e -> Error (`Rejected [ e ])
+    | m' -> (
+        match if constraints' = [] then None else t.schedule with
+        | None -> Ok (m', None, "")
+        | Some sched -> (
+            match certify_checked m' sched with
+            | Error diags -> Error (`Check_failed diags)
+            | Ok cert_digest -> Ok (m', Some sched, cert_digest)))
+
+(* Apply a certified state and seed the memo with it.  [canon] saves
+   recomputing the canonical form when the caller already has it. *)
+let commit ?canon t m' sched cert =
+  t.model <- m';
+  t.schedule <- sched;
+  t.cert <- cert;
+  match sched with
+  | None -> ()
+  | Some sched ->
+      let canon =
+        match canon with Some c -> c | None -> Canon.of_model m'
+      in
+      memo_store t canon (Canon.canonical_slots canon sched)
+
+(* Write-ahead: the record is fsynced before the state is applied. *)
+let journal_commit ?canon t record m' sched cert =
+  match Journal.append t.journal record with
+  | Error e -> Error e
+  | Ok () ->
+      Rt_obs.Metrics.incr journal_records;
+      commit ?canon t m' sched cert;
+      Ok ()
 
 let verdict_string = function
   | Admission.Guaranteed cond -> "guaranteed:" ^ cond
@@ -226,6 +259,27 @@ let decomposed_solve ?budget ~level t (m' : Model.t) =
       | Stop (`Timeout r) -> `Timeout r
       | Stop `Give_up -> `Skip)
 
+(* Synthesis for model [m'], component-wise first (one small solve per
+   interaction component instead of one big one), undecomposed as the
+   fail-closed fallback.  The last rung of the answer path, and the
+   fresh-start solve of the base system. *)
+let solve ?budget ~level t (m' : Model.t) =
+  match timed solve_us (fun () -> decomposed_solve ?budget ~level t m') with
+  | `Sched sched -> Ok sched
+  | `Definitive diags -> Error (`Rejected diags)
+  | `Timeout reason -> Error (`Timeout reason)
+  | `Skip -> (
+      let result =
+        timed solve_us @@ fun () -> plain_solve ?budget ~level t m'
+      in
+      match result with
+      | Ok plan -> Ok plan.Synthesis.schedule
+      | Error err -> (
+          match Option.bind budget Budget.exhausted with
+          | Some reason -> Error (`Timeout reason)
+          | None ->
+              Error (`Rejected [ Format.asprintf "%a" Synthesis.pp_error err ])))
+
 (* Find a certified schedule for candidate model [m'].  Returns
    (schedule, path) or a diagnosable failure.  Never mutates the
    resident certified state ([t.model]/[t.schedule]/[t.cert]); the
@@ -249,144 +303,77 @@ let find_schedule ?budget ~level t canon (m' : Model.t) =
       | Some sched when verifies m' sched ->
           Rt_obs.Metrics.incr warm_hits;
           Ok (sched, "warm")
-      | _ -> (
-          match timed solve_us (fun () -> decomposed_solve ?budget ~level t m') with
-          | `Sched sched -> Ok (sched, "synth")
-          | `Definitive diags -> Error (`Rejected diags)
-          | `Timeout reason -> Error (`Timeout reason)
-          | `Skip -> (
-              let result =
-                timed solve_us @@ fun () -> plain_solve ?budget ~level t m'
-              in
-              match result with
-              | Ok plan -> Ok (plan.Synthesis.schedule, "synth")
-              | Error err -> (
-                  match Option.bind budget Budget.exhausted with
-                  | Some reason -> Error (`Timeout reason)
-                  | None ->
-                      Error
-                        (`Rejected
-                          [
-                            Format.asprintf "%a" Synthesis.pp_error err;
-                          ])))))
+      | _ -> Result.map (fun s -> (s, "synth")) (solve ?budget ~level t m'))
 
 let admit_or_probe ?budget ~level ~commit t decl =
-  let ( let* ) r f = match r with Error e -> Rejected e | Ok v -> f v in
-  let* c = parse_decl decl in
-  let name = c.Rt_spec.Ast.co_name in
-  if
-    List.exists
-      (fun (tc : Timing.t) -> tc.Timing.name = name)
-      t.model.Model.constraints
-  then Rejected [ Printf.sprintf "constraint %S is already resident" name ]
-  else
-    let* src = print_model t.model in
-    let* candidate_src = insert_decl src decl in
-    let* m' =
-      match Rt_spec.Elaborate.load candidate_src with
-      | Ok m -> Ok m
-      | Error errs -> Error errs
-    in
-    let verdict = Admission.admit m' in
-    match verdict with
-    | Admission.Impossible cond -> Rejected [ "impossible: " ^ cond ]
-    | _ when level = Analytic ->
-        (* Deepest degradation: answer from the gap tests alone and do
-           not touch resident state — it stays certified. *)
-        Analytic_only { verdict = verdict_string verdict }
-    | _ -> (
-        let canon = Canon.of_model m' in
-        match find_schedule ?budget ~level t canon m' with
-        | Error (`Timeout reason) ->
-            Rt_obs.Metrics.incr timeouts;
-            Timed_out reason
-        | Error (`Rejected diags) ->
-            Rt_obs.Metrics.incr admits_rejected;
-            Rejected diags
-        | Ok (sched, path) -> (
-            match certify_checked m' sched with
-            | Error diags ->
-                (* The trusted core vetoed the untrusted answer: roll
-                   back (state was never touched) and fail closed. *)
-                Rt_obs.Metrics.incr check_failures;
-                Check_failed diags
-            | Ok cert_digest ->
-                if not commit then
-                  Admitted { path; verdict = verdict_string verdict }
-                else
-                  let record =
-                    Journal.Admit
-                      {
-                        name;
-                        decl;
-                        digest = digest_of m';
-                        schedule =
-                          Rt_base.Schedule.to_string m'.Model.comm sched;
-                        cert = cert_digest;
-                      }
+  match candidate t decl with
+  | Error e -> Rejected e
+  | Ok (name, m') -> (
+      let verdict = Admission.admit m' in
+      match verdict with
+      | Admission.Impossible cond -> Rejected [ "impossible: " ^ cond ]
+      | _ when level = Analytic ->
+          (* Deepest degradation: answer from the gap tests alone and do
+             not touch resident state — it stays certified. *)
+          Analytic_only { verdict = verdict_string verdict }
+      | _ -> (
+          let canon = Canon.of_model m' in
+          match find_schedule ?budget ~level t canon m' with
+          | Error (`Timeout reason) ->
+              Rt_obs.Metrics.incr timeouts;
+              Timed_out reason
+          | Error (`Rejected diags) ->
+              Rt_obs.Metrics.incr admits_rejected;
+              Rejected diags
+          | Ok (sched, path) -> (
+              match certify_checked m' sched with
+              | Error diags ->
+                  (* The trusted core vetoed the untrusted answer: roll
+                     back (state was never touched) and fail closed. *)
+                  Rt_obs.Metrics.incr check_failures;
+                  Check_failed diags
+              | Ok cert_digest -> (
+                  let answer =
+                    Admitted { path; verdict = verdict_string verdict }
                   in
-                  (match Journal.append t.journal record with
-                  | Error e -> Journal_failed e
-                  | Ok () ->
-                      Rt_obs.Metrics.incr journal_records;
-                      t.model <- m';
-                      t.schedule <- Some sched;
-                      t.cert <- cert_digest;
-                      memo_store t canon (Canon.canonical_slots canon sched);
-                      Rt_obs.Metrics.incr admits_ok;
-                      Admitted { path; verdict = verdict_string verdict })))
+                  if not commit then answer
+                  else
+                    let record =
+                      Journal.Admit
+                        {
+                          name;
+                          decl;
+                          digest = digest_of m';
+                          schedule =
+                            Rt_base.Schedule.to_string m'.Model.comm sched;
+                          cert = cert_digest;
+                        }
+                    in
+                    match
+                      journal_commit ~canon t record m' (Some sched)
+                        cert_digest
+                    with
+                    | Error e -> Journal_failed e
+                    | Ok () ->
+                        Rt_obs.Metrics.incr admits_ok;
+                        answer))))
 
 let admit ?budget ~level t decl = admit_or_probe ?budget ~level ~commit:true t decl
 let what_if ?budget ~level t decl = admit_or_probe ?budget ~level ~commit:false t decl
 
 let retire t name =
-  let present =
-    List.exists
-      (fun (c : Timing.t) -> c.Timing.name = name)
-      t.model.Model.constraints
-  in
-  if not present then Rejected [ Printf.sprintf "unknown constraint %S" name ]
-  else
-    let constraints' =
-      List.filter
-        (fun (c : Timing.t) -> c.Timing.name <> name)
-        t.model.Model.constraints
-    in
-    match Model.make ~comm:t.model.Model.comm ~constraints:constraints' with
-    | exception Invalid_argument e -> Rejected [ e ]
-    | m' -> (
-        (* Shrinking the constraint set can only relax the problem: the
-           resident schedule still verifies, only the certificate must
-           be re-issued against the reduced model. *)
-        let recert =
-          match t.schedule with
-          | Some sched when constraints' <> [] -> (
-              match certify_checked m' sched with
-              | Error diags -> Error diags
-              | Ok cd -> Ok cd)
-          | _ -> Ok ""
-        in
-        match recert with
-        | Error diags ->
-            Rt_obs.Metrics.incr check_failures;
-            Check_failed diags
-        | Ok cert_digest -> (
-            let record =
-              Journal.Retire { name; digest = digest_of m'; cert = cert_digest }
-            in
-            match Journal.append t.journal record with
-            | Error e -> Journal_failed e
-            | Ok () ->
-                Rt_obs.Metrics.incr journal_records;
-                t.model <- m';
-                if constraints' = [] then t.schedule <- None;
-                t.cert <- cert_digest;
-                (match t.schedule with
-                | Some sched ->
-                    let canon = Canon.of_model m' in
-                    memo_store t canon (Canon.canonical_slots canon sched)
-                | None -> ());
-                Admitted { path = "retire"; verdict = "retired" }))
+  match retired t name with
+  | Error (`Rejected e) -> Rejected e
+  | Error (`Check_failed diags) ->
+      Rt_obs.Metrics.incr check_failures;
+      Check_failed diags
+  | Ok (m', sched, cert_digest) -> (
+      let record =
+        Journal.Retire { name; digest = digest_of m'; cert = cert_digest }
+      in
+      match journal_commit t record m' sched cert_digest with
+      | Error e -> Journal_failed e
+      | Ok () -> Admitted { path = "retire"; verdict = "retired" })
 
 let reverify t =
   match t.schedule with
@@ -407,25 +394,23 @@ let reverify t =
                 ]
             else Ok (digest_of t.model))
 
+let init_record t spec =
+  Journal.Init
+    {
+      spec;
+      digest = digest_of t.model;
+      schedule =
+        (match t.schedule with
+        | None -> ""
+        | Some s -> Rt_base.Schedule.to_string t.model.Model.comm s);
+      cert = t.cert;
+    }
+
 let snapshot t =
-  match print_model t.model with
-  | Error e -> Error (String.concat "; " e)
-  | Ok spec -> (
-      let record =
-        Journal.Init
-          {
-            spec;
-            digest = digest_of t.model;
-            schedule =
-              (match t.schedule with
-              | None -> ""
-              | Some s -> Rt_base.Schedule.to_string t.model.Model.comm s);
-            cert = t.cert;
-          }
-      in
-      match Journal.truncate t.journal record with
-      | Error e -> Error e
-      | Ok () -> Ok (spec, digest_of t.model))
+  let spec = Rt_spec.Printer.print t.model in
+  match Journal.truncate t.journal (init_record t spec) with
+  | Error e -> Error e
+  | Ok () -> Ok (spec, digest_of t.model)
 
 (* ------------------------------------------------------------------ *)
 (* Startup: fresh init or journal replay.                              *)
@@ -441,6 +426,25 @@ let load_schedule m s =
           if verifies m sched then Ok sched
           else Error [ "journaled schedule does not verify" ])
 
+let check_digest what m digest =
+  if digest_of m = digest then Ok ()
+  else
+    Error
+      [
+        Printf.sprintf "%s: model digest mismatch (journal %s, replayed %s)"
+          what digest (digest_of m);
+      ]
+
+let check_cert what ~journaled cd =
+  if cd = journaled then Ok ()
+  else
+    Error
+      [
+        Printf.sprintf
+          "%s: certificate digest mismatch (journal %s, recomputed %s)" what
+          journaled cd;
+      ]
+
 (* Re-validate one journaled certified state: digests and the trusted
    checker, exactly as at admit time. *)
 let revalidate what m sched_s cert_d =
@@ -452,99 +456,41 @@ let revalidate what m sched_s cert_d =
         match certify_checked m sched with
         | Error e -> Error (List.map (fun x -> what ^ ": " ^ x) e)
         | Ok cd ->
-            if cd <> cert_d then
-              Error
-                [
-                  Printf.sprintf
-                    "%s: certificate digest mismatch (journal %s, recomputed \
-                     %s)"
-                    what cert_d cd;
-                ]
-            else Ok (Some sched))
+            Result.map
+              (fun () -> Some sched)
+              (check_cert what ~journaled:cert_d cd))
 
-let seed_memo t m sched =
-  let canon = Canon.of_model m in
-  memo_store t canon (Canon.canonical_slots canon sched)
-
+(* Records are applied through serving's own steps — [candidate],
+   [retired], [commit] — so replay rebuilds the same models and seeds
+   the memo at the same points live serving did. *)
 let replay t records =
+  let ( let* ) = Result.bind in
   let step = function
     | Journal.Init _ -> Error [ "unexpected second init record" ]
-    | Journal.Admit r -> (
-        let ( let* ) = Result.bind in
-        let* src = print_model t.model in
-        let* candidate = insert_decl src r.decl in
-        let* m' =
-          match Rt_spec.Elaborate.load candidate with
-          | Ok m -> Ok m
+    | Journal.Admit r ->
+        let what = Printf.sprintf "admit %S" r.name in
+        let* _, m' = candidate t r.decl in
+        let* () = check_digest what m' r.digest in
+        let* sched =
+          match revalidate what m' r.schedule r.cert with
+          | Ok (Some s) -> Ok s
+          | Ok None -> Error [ what ^ ": record has no schedule" ]
           | Error e -> Error e
         in
-        if digest_of m' <> r.digest then
-          Error
-            [
-              Printf.sprintf "admit %S: model digest mismatch (journal %s, \
-                              replayed %s)" r.name r.digest (digest_of m');
-            ]
-        else
-          let* sched =
-            match revalidate ("admit " ^ r.name) m' r.schedule r.cert with
-            | Ok (Some s) -> Ok s
-            | Ok None -> Error [ "admit " ^ r.name ^ ": record has no schedule" ]
-            | Error e -> Error e
-          in
-          t.model <- m';
-          t.schedule <- Some sched;
-          t.cert <- r.cert;
-          seed_memo t m' sched;
-          Ok ())
-    | Journal.Retire r -> (
-        let constraints' =
-          List.filter
-            (fun (c : Timing.t) -> c.Timing.name <> r.name)
-            t.model.Model.constraints
+        commit t m' (Some sched) r.cert;
+        Ok ()
+    | Journal.Retire r ->
+        let what = Printf.sprintf "retire %S" r.name in
+        let* m', sched, cd =
+          Result.map_error
+            (fun (`Rejected e | `Check_failed e) ->
+              List.map (fun x -> what ^ ": " ^ x) e)
+            (retired t r.name)
         in
-        if List.length constraints' = List.length t.model.Model.constraints
-        then Error [ Printf.sprintf "retire %S: not resident" r.name ]
-        else
-          match Model.make ~comm:t.model.Model.comm ~constraints:constraints' with
-          | exception Invalid_argument e -> Error [ e ]
-          | m' ->
-              if digest_of m' <> r.digest then
-                Error
-                  [
-                    Printf.sprintf
-                      "retire %S: model digest mismatch (journal %s, replayed \
-                       %s)" r.name r.digest (digest_of m');
-                  ]
-              else (
-                t.model <- m';
-                if constraints' = [] then t.schedule <- None;
-                let check =
-                  match (t.schedule, r.cert) with
-                  | Some sched, cert when cert <> "" -> (
-                      match certify_checked m' sched with
-                      | Error e -> Error e
-                      | Ok cd when cd <> cert ->
-                          Error
-                            [
-                              Printf.sprintf
-                                "retire %S: certificate digest mismatch \
-                                 (journal %s, recomputed %s)" r.name cert cd;
-                            ]
-                      | Ok _ -> Ok ())
-                  | None, cert when cert <> "" ->
-                      Error
-                        [
-                          Printf.sprintf
-                            "retire %S: certificate digest without schedule"
-                            r.name;
-                        ]
-                  | _ -> Ok ()
-                in
-                match check with
-                | Error e -> Error e
-                | Ok () ->
-                    t.cert <- r.cert;
-                    Ok ()))
+        let* () = check_digest what m' r.digest in
+        let* () = check_cert what ~journaled:r.cert cd in
+        commit t m' sched cd;
+        Ok ()
   in
   let rec go i = function
     | [] -> Ok ()
@@ -566,7 +512,7 @@ let create ?pool ?startup_budget ~journal ?spec () =
   | Ok records -> (
       match Journal.open_append journal with
       | Error e -> Error e
-      | Ok jh -> (
+      | Ok jh ->
           let mk model =
             {
               model;
@@ -579,119 +525,55 @@ let create ?pool ?startup_budget ~journal ?spec () =
               pool;
             }
           in
-          match records with
-          | [] -> (
-              match spec with
-              | None ->
-                  Journal.close jh;
-                  Error "fresh start requires a base specification (--spec)"
-              | Some src -> (
-                  match Rt_spec.Elaborate.load src with
-                  | Error errs ->
-                      Journal.close jh;
-                      Error (String.concat "; " errs)
-                  | Ok m -> (
-                      let t = mk m in
-                      let startup =
-                        if m.Model.constraints = [] then Ok None
-                        else
-                          let solved =
-                            (* Component-wise first (one small solve per
-                               interaction component instead of one big
-                               one), undecomposed as the fail-closed
-                               fallback — same ladder as admissions. *)
+          let started =
+            match records with
+            | [] -> (
+                match spec with
+                | None ->
+                    Error "fresh start requires a base specification (--spec)"
+                | Some src -> (
+                    match Rt_spec.Elaborate.load src with
+                    | Error errs -> Error (String.concat "; " errs)
+                    | Ok m -> (
+                        let t = mk m in
+                        let certified =
+                          if m.Model.constraints = [] then Ok ()
+                          else
                             match
-                              decomposed_solve ?budget:startup_budget
-                                ~level:Full t m
+                              solve ?budget:startup_budget ~level:Full t m
                             with
-                            | `Sched sched -> Ok sched
-                            | `Definitive diags ->
-                                Error (String.concat "; " diags)
-                            | `Timeout reason -> Error reason
-                            | `Skip -> (
-                                match
-                                  plain_solve ?budget:startup_budget
-                                    ~level:Full t m
-                                with
-                                | Ok plan -> Ok plan.Synthesis.schedule
-                                | Error err ->
-                                    Error
-                                      (Format.asprintf "%a"
-                                         Synthesis.pp_error err))
-                          in
-                          match solved with
-                          | Error e -> Error ("base system: " ^ e)
-                          | Ok sched -> (
-                              match certify_checked m sched with
-                              | Error diags ->
-                                  Error
-                                    ("base system: "
-                                    ^ String.concat "; " diags)
-                              | Ok cd -> Ok (Some (sched, cd)))
-                      in
-                      match startup with
-                      | Error e ->
-                          Journal.close jh;
-                          Error e
-                      | Ok pair -> (
-                          (match pair with
-                          | Some (sched, cd) ->
-                              t.schedule <- Some sched;
-                              t.cert <- cd;
-                              seed_memo t m sched
-                          | None -> ());
-                          let record =
-                            Journal.Init
-                              {
-                                spec = src;
-                                digest = digest_of m;
-                                schedule =
-                                  (match t.schedule with
-                                  | None -> ""
-                                  | Some s ->
-                                      Rt_base.Schedule.to_string
-                                        m.Model.comm s);
-                                cert = t.cert;
-                              }
-                          in
-                          match Journal.append jh record with
-                          | Error e ->
-                              Journal.close jh;
-                              Error e
-                          | Ok () -> Ok t))))
-          | Journal.Init i :: rest -> (
-              match Rt_spec.Elaborate.load i.spec with
-              | Error errs ->
-                  Journal.close jh;
-                  Error ("journal init: " ^ String.concat "; " errs)
-              | Ok m ->
-                  if digest_of m <> i.digest then (
-                    Journal.close jh;
-                    Error
-                      (Printf.sprintf
-                         "journal init: model digest mismatch (journal %s, \
-                          replayed %s)" i.digest (digest_of m)))
-                  else (
-                    let t = mk m in
-                    match revalidate "init" m i.schedule i.cert with
-                    | Error e ->
-                        Journal.close jh;
-                        Error (String.concat "; " e)
-                    | Ok sched_opt -> (
-                        (match sched_opt with
-                        | Some sched ->
-                            t.schedule <- Some sched;
-                            t.cert <- i.cert;
-                            seed_memo t m sched
-                        | None -> ());
-                        match replay t rest with
+                            | Error (`Rejected diags) -> Error diags
+                            | Error (`Timeout reason) -> Error [ reason ]
+                            | Ok sched ->
+                                Result.map
+                                  (fun cd -> commit t m (Some sched) cd)
+                                  (certify_checked m sched)
+                        in
+                        match certified with
                         | Error e ->
-                            Journal.close jh;
-                            Error e
-                        | Ok () -> Ok t)))
-          | _ :: _ ->
-              Journal.close jh;
-              Error "journal does not start with an init record"))
+                            Error ("base system: " ^ String.concat "; " e)
+                        | Ok () ->
+                            Result.map
+                              (fun () -> t)
+                              (Journal.append jh (init_record t src)))))
+            | Journal.Init i :: rest -> (
+                match Rt_spec.Elaborate.load i.spec with
+                | Error errs ->
+                    Error ("journal init: " ^ String.concat "; " errs)
+                | Ok m -> (
+                    let t = mk m in
+                    match
+                      Result.bind (check_digest "journal init" m i.digest)
+                        (fun () -> revalidate "init" m i.schedule i.cert)
+                    with
+                    | Error e -> Error (String.concat "; " e)
+                    | Ok sched ->
+                        commit t m sched i.cert;
+                        Result.map (fun () -> t) (replay t rest)))
+            | _ :: _ -> Error "journal does not start with an init record"
+          in
+          if Result.is_error started then Journal.close jh;
+          started)
 
 let model t = t.model
 let schedule t = t.schedule

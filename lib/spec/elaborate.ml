@@ -1,5 +1,72 @@
 open Rt_core
 
+let constraint_decl comm (c : Ast.constraint_decl) =
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let resolve name =
+    match Comm_graph.find_opt comm name with
+    | Some e -> Some e.Element.id
+    | None ->
+        err "constraint %s: unknown element %s" c.co_name name;
+        None
+  in
+  let named = List.concat c.co_chains |> List.sort_uniq String.compare in
+  let resolved = List.filter_map resolve named in
+  let built =
+    if List.length resolved <> List.length named then None
+    else begin
+      let nodes = Array.of_list resolved in
+      let index = Hashtbl.create 8 in
+      Array.iteri (fun i e -> Hashtbl.replace index e i) nodes;
+      let edge_list = ref [] in
+      List.iter
+        (fun chain ->
+          let rec walk = function
+            | a :: (b :: _ as rest) ->
+                let ia = Hashtbl.find index (Comm_graph.id_of_name comm a)
+                and ib = Hashtbl.find index (Comm_graph.id_of_name comm b) in
+                edge_list := (ia, ib) :: !edge_list;
+                walk rest
+            | _ -> ()
+          in
+          walk chain)
+        c.co_chains;
+      match
+        Task_graph.create ~nodes ~edges:(List.sort_uniq compare !edge_list)
+      with
+      | exception Invalid_argument msg ->
+          err "constraint %s: %s" c.co_name msg;
+          None
+      | graph -> (
+          let kind =
+            match c.co_kind with
+            | Ast.K_periodic -> Timing.Periodic
+            | Ast.K_asynchronous -> Timing.Asynchronous
+          in
+          match
+            let t =
+              Timing.make ~name:c.co_name ~graph ~period:c.co_period
+                ~deadline:c.co_deadline ~kind
+            in
+            if c.co_offset = 0 then t else Timing.with_offset t c.co_offset
+          with
+          | t -> Some t
+          | exception Invalid_argument msg ->
+              err "constraint %s: %s" c.co_name msg;
+              None)
+    end
+  in
+  match built with Some t -> Ok t | None -> Error (List.rev !errs)
+
+let validated ~comm ~constraints =
+  match Model.validate ~comm ~constraints with
+  | Error es -> Error es
+  | Ok () -> Ok (Model.make ~comm ~constraints)
+
+let add_constraint (m : Model.t) c =
+  Result.bind (constraint_decl m.comm c) (fun t ->
+      validated ~comm:m.comm ~constraints:(m.constraints @ [ t ]))
+
 let elaborate (sys : Ast.system) =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -14,64 +81,16 @@ let elaborate (sys : Ast.system) =
   match Comm_graph.create ~elements ~edges with
   | exception Invalid_argument msg -> Error [ msg ]
   | comm ->
-      let build_constraint (c : Ast.constraint_decl) =
-        let resolve name =
-          match Comm_graph.find_opt comm name with
-          | Some e -> Some e.Element.id
-          | None ->
-              err "constraint %s: unknown element %s" c.co_name name;
-              None
-        in
-        let named =
-          List.concat c.co_chains |> List.sort_uniq String.compare
-        in
-        let resolved = List.filter_map resolve named in
-        if List.length resolved <> List.length named then None
-        else begin
-          let nodes = Array.of_list resolved in
-          let index = Hashtbl.create 8 in
-          Array.iteri
-            (fun i e -> Hashtbl.replace index e i)
-            nodes;
-          let edge_list = ref [] in
-          List.iter
-            (fun chain ->
-              let rec walk = function
-                | a :: (b :: _ as rest) ->
-                    let ia = Hashtbl.find index (Comm_graph.id_of_name comm a)
-                    and ib = Hashtbl.find index (Comm_graph.id_of_name comm b) in
-                    edge_list := (ia, ib) :: !edge_list;
-                    walk rest
-                | _ -> ()
-              in
-              walk chain)
-            c.co_chains;
-          match
-            Task_graph.create ~nodes ~edges:(List.sort_uniq compare !edge_list)
-          with
-          | exception Invalid_argument msg ->
-              err "constraint %s: %s" c.co_name msg;
-              None
-          | graph -> (
-              let kind =
-                match c.co_kind with
-                | Ast.K_periodic -> Timing.Periodic
-                | Ast.K_asynchronous -> Timing.Asynchronous
-              in
-              match
-                let t =
-                  Timing.make ~name:c.co_name ~graph ~period:c.co_period
-                    ~deadline:c.co_deadline ~kind
-                in
-                if c.co_offset = 0 then t else Timing.with_offset t c.co_offset
-              with
-              | t -> Some t
-              | exception Invalid_argument msg ->
-                  err "constraint %s: %s" c.co_name msg;
-                  None)
-        end
+      let constraints =
+        List.filter_map
+          (fun c ->
+            match constraint_decl comm c with
+            | Ok t -> Some t
+            | Error es ->
+                errs := List.rev_append es !errs;
+                None)
+          sys.sy_constraints
       in
-      let constraints = List.filter_map build_constraint sys.sy_constraints in
       (* Validate assert declarations against the communication graph. *)
       List.iter
         (fun (a : Ast.assert_decl) ->
@@ -87,11 +106,7 @@ let elaborate (sys : Ast.system) =
           | _, None -> err "assert: unknown element %s" a.as_dst)
         sys.sy_asserts;
       if !errs <> [] then Error (List.rev !errs)
-      else begin
-        match Model.validate ~comm ~constraints with
-        | Error es -> Error es
-        | Ok () -> Ok (Model.make ~comm ~constraints)
-      end
+      else validated ~comm ~constraints
 
 let elaborate_exn sys =
   match elaborate sys with

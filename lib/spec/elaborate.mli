@@ -13,6 +13,23 @@ val elaborate : Ast.system -> (Rt_core.Model.t, string list) result
 (** [elaborate sys] builds and validates the model; [Error] collects
     every diagnostic. *)
 
+val constraint_decl :
+  Rt_core.Comm_graph.t ->
+  Ast.constraint_decl ->
+  (Rt_core.Timing.t, string list) result
+(** [constraint_decl comm c] elaborates one constraint declaration
+    against the communication graph [comm] — the step {!elaborate}
+    applies to every constraint of a system.  Checks the constraint on
+    its own (unknown elements, cyclic chains, invalid timing); the
+    checks against the other constraints are {!Rt_core.Model.validate}'s. *)
+
+val add_constraint :
+  Rt_core.Model.t -> Ast.constraint_decl -> (Rt_core.Model.t, string list) result
+(** [add_constraint m c] is [m] with [c], elaborated against [m]'s
+    communication graph, appended to its constraints and the result
+    validated.  Equivalent to printing [m], adding [c] to the source and
+    elaborating it again, without the round trip. *)
+
 val elaborate_exn : Ast.system -> Rt_core.Model.t
 (** Raising variant ([Invalid_argument] with joined diagnostics). *)
 

@@ -191,3 +191,20 @@ let parse_result src =
       Error (Printf.sprintf "%d:%d: %s" p.Lexer.line p.Lexer.col msg)
   | exception Lexer.Lex_error (p, msg) ->
       Error (Printf.sprintf "%d:%d: %s" p.Lexer.line p.Lexer.col msg)
+
+let parse_declaration src =
+  match parse_result ("system \"d\" {\n" ^ src ^ "\n}") with
+  | Error e -> Error ("declaration: " ^ e)
+  | Ok
+      {
+        Ast.sy_elements = [];
+        sy_edges = [];
+        sy_asserts = [];
+        sy_constraints = [ c ];
+        _;
+      } ->
+      Ok c
+  | Ok _ ->
+      Error
+        "declaration must be exactly one constraint (no elements, edges or \
+         asserts)"

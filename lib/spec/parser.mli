@@ -25,3 +25,7 @@ val parse : string -> Ast.system
 val parse_result : string -> (Ast.system, string) result
 (** Exception-free wrapper with a formatted "line:col: message"
     diagnostic. *)
+
+val parse_declaration : string -> (Ast.constraint_decl, string) result
+(** [parse_declaration src] parses exactly one [constraint] declaration
+    (no elements, edges or asserts), as written in a system body. *)

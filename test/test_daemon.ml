@@ -258,6 +258,194 @@ let test_engine_memo_and_replay () =
       Alcotest.fail "mid-file corruption must refuse to start"
   | Error _ -> ()
 
+(* Live retire stores the post-retire model in the memo; replay must
+   store it too, or a restart changes answer paths.  Sequence: admit a,
+   admit a structurally different b, retire a, retire b, then admit b2,
+   an α-renamed b — a memo hit on the {px, b} entry only retire a made. *)
+let test_engine_retire_memo_replay () =
+  let decl_b name =
+    Printf.sprintf
+      "constraint %s asynchronous separation 20 deadline 8 { f_y; }" name
+  in
+  let prefix eng =
+    ignore (admit_path eng (decl_q "a"));
+    ignore (admit_path eng (decl_b "b"));
+    List.iter
+      (fun n ->
+        match Engine.retire eng n with
+        | Engine.Admitted _ -> ()
+        | _ -> Alcotest.failf "retire %s failed" n)
+      [ "a"; "b" ]
+  in
+  let open_engine journal =
+    match Engine.create ~journal ~spec:base_spec () with
+    | Error e -> Alcotest.failf "create: %s" e
+    | Ok eng -> eng
+  in
+  (with_temp_journal @@ fun journal ->
+   let eng = open_engine journal in
+   prefix eng;
+   checks "live: renamed tenant hits the retire-seeded memo" "memo"
+     (admit_path eng (decl_b "b2"));
+   Engine.close eng);
+  with_temp_journal @@ fun journal ->
+  let eng = open_engine journal in
+  prefix eng;
+  Engine.close eng;
+  let eng = open_engine journal in
+  checks "replayed: same answer path as live" "memo"
+    (admit_path eng (decl_b "b2"));
+  Engine.close eng
+
+(* The structural candidate (one declaration elaborated against the
+   resident communication graph) against the reference it replaced:
+   print the whole model, splice the declaration in before the last
+   brace, reparse and re-elaborate everything.  Same digest, or the
+   same diagnostics, on valid and malformed declarations alike. *)
+let round_trip (m : Model.t) decl =
+  let src = Rt_spec.Printer.print m in
+  let i = String.rindex src '}' in
+  Rt_spec.Elaborate.load
+    (String.sub src 0 i ^ "\n" ^ decl ^ "\n}"
+    ^ String.sub src (i + 1) (String.length src - i - 1))
+
+let candidate_declarations prng (m : Model.t) =
+  let g = m.Model.comm in
+  let n = Rt_base.Comm_graph.n_elements g in
+  let name e = (Rt_base.Comm_graph.element g e).Element.name in
+  let pick () = name (Rt_graph.Prng.int prng n) in
+  let edges = Rt_graph.Digraph.edges (Rt_base.Comm_graph.graph g) in
+  let decl ?(timing = "asynchronous separation 24 deadline 12") cname body =
+    Printf.sprintf "constraint %s %s { %s }" cname timing body
+  in
+  (* Follow communication edges from a random edge: a 2–3 element chain
+     the communication graph admits. *)
+  let chain () =
+    match edges with
+    | [] -> pick () ^ ";"
+    | _ ->
+        let u, v =
+          List.nth edges (Rt_graph.Prng.int prng (List.length edges))
+        in
+        let next =
+          List.filter_map
+            (fun (a, b) -> if a = v && b <> u then Some b else None)
+            edges
+        in
+        let tail = match next with w :: _ -> [ w ] | [] -> [] in
+        String.concat " -> " (List.map name (u :: v :: tail)) ^ ";"
+  in
+  let a = pick () and b = pick () in
+  let resident =
+    match m.Model.constraints with
+    | c :: _ -> c.Timing.name
+    | [] -> "px"
+  in
+  [
+    decl "new_single" (pick () ^ ";");
+    decl ~timing:"periodic period 40 deadline 30" "new_periodic"
+      (pick () ^ ";");
+    decl ~timing:"periodic period 40 deadline 20 offset 3" "new_offset"
+      (pick () ^ ";");
+    decl "new_chain" (chain ());
+    decl "new_dag" (chain () ^ " " ^ chain ());
+    decl "new_nonedge" (Printf.sprintf "%s -> %s;" a b);
+    decl "new_unknown" (pick () ^ "; no_such_element;");
+    decl "new_cycle" (Printf.sprintf "%s -> %s; %s -> %s;" a b b a);
+    decl ~timing:"periodic period 0 deadline 5" "new_zero_period"
+      (pick () ^ ";");
+    decl ~timing:"asynchronous separation 24 deadline 0" "new_zero_deadline"
+      (pick () ^ ";");
+    decl resident (pick () ^ ";");
+    "element z weight 1 pipelinable;\n"
+    ^ decl "new_with_element" (pick () ^ ";");
+    Printf.sprintf "edge %s -> %s;\n" a b
+    ^ decl "new_with_edge" (pick () ^ ";");
+  ]
+
+let test_structural_candidate () =
+  let prng = Rt_graph.Prng.create 1507 in
+  let compared = ref 0 and accepted = ref 0 in
+  for i = 0 to 47 do
+    let generated =
+      match i mod 6 with
+      | 4 ->
+          Rt_workload.Model_gen.periodic_chain_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~utilization:0.5 ~periods:[ 10; 20; 40 ]
+      | 5 ->
+          Rt_workload.Model_gen.unit_chain_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~n_elements:6 ~max_deadline:12
+      | k -> random_model prng k
+    in
+    (* Resident models are always elaborated from source. *)
+    match Rt_spec.Elaborate.load (Rt_spec.Printer.print generated) with
+    | Error es -> Alcotest.failf "model %d: %s" i (String.concat "; " es)
+    | Ok m ->
+        List.iter
+          (fun decl ->
+            incr compared;
+            let via f =
+              Result.bind
+                (Result.map_error
+                   (fun e -> [ e ])
+                   (Rt_spec.Parser.parse_declaration decl))
+                f
+            in
+            match
+              ( via (Rt_spec.Elaborate.add_constraint m),
+                via (fun _ -> round_trip m decl) )
+            with
+            | Ok s, Ok r ->
+                incr accepted;
+                checks
+                  (Printf.sprintf "model %d, %s: same digest" i decl)
+                  (Rt_check.Certificate.digest_of_model r)
+                  (Rt_check.Certificate.digest_of_model s)
+            | Error s, Error r ->
+                Alcotest.(check (list string))
+                  (Printf.sprintf "model %d, %s: same diagnostics" i decl)
+                  r s
+            | Ok _, Error r ->
+                Alcotest.failf "model %d, %s: only the round trip refuses: %s"
+                  i decl (String.concat "; " r)
+            | Error s, Ok _ ->
+                Alcotest.failf "model %d, %s: only the structural path \
+                                refuses: %s" i decl (String.concat "; " s))
+          (candidate_declarations prng m)
+  done;
+  checkb "valid declarations were among the compared" true
+    (!accepted * 4 > !compared)
+
+(* A journal written by the engine before admits were built structurally
+   (init, a 3-element chain, a retire and an α-renamed re-admit) still
+   replays, record digests and certificates included, to its recorded
+   final state. *)
+let compat_journal = "journal_compat.journal"
+let compat_digest = "fnv1a:ce8a6b95d0cd8a50"
+
+let test_journal_compat () =
+  let fixture =
+    List.find_opt Sys.file_exists
+      [ compat_journal; Filename.concat "test" compat_journal ]
+    |> function
+    | Some p -> p
+    | None -> Alcotest.failf "fixture %s not found" compat_journal
+  in
+  with_temp_journal @@ fun journal ->
+  Out_channel.with_open_bin journal (fun oc ->
+      output_string oc (In_channel.with_open_bin fixture In_channel.input_all));
+  match Engine.create ~journal () with
+  | Error e -> Alcotest.failf "replay: %s" e
+  | Ok eng ->
+      checks "replays to the recorded final digest" compat_digest
+        (Rt_check.Certificate.digest_of_model (Engine.model eng));
+      (match Engine.reverify eng with
+      | Ok d -> checks "reverify accepts the replayed state" compat_digest d
+      | Error ds -> Alcotest.failf "reverify: %s" (String.concat "; " ds));
+      Engine.close eng
+
 (* ------------------------------------------------------------------ *)
 (* Framing: the newline splitter both transports share.  The protocol- *)
 (* level contract under attack: torn frames reassemble byte-identical  *)
@@ -586,6 +774,12 @@ let () =
             `Quick test_engine_memo_and_replay;
           Alcotest.test_case "analytic admission contract" `Quick
             test_engine_admission_contract;
+          Alcotest.test_case "retire reseeds the memo on replay" `Quick
+            test_engine_retire_memo_replay;
+          Alcotest.test_case "structural candidate = round trip" `Quick
+            test_structural_candidate;
+          Alcotest.test_case "old journal replays to its digest" `Quick
+            test_journal_compat;
         ] );
       ( "framing",
         [
