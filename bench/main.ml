@@ -1550,8 +1550,9 @@ let e16 () =
           count (admit (decl i))
         done)
   in
-  (* Retire one tenant and re-admit it under a fresh name: the canonical
-     form is unchanged, so the memo must answer. *)
+  (* Retire one tenant and re-admit it under a fresh name: the
+     constraint multiset, and so the answer-cache key, is unchanged, so
+     the memo must answer. *)
   (match Rt_daemon.Engine.retire eng "c1" with
   | Rt_daemon.Engine.Admitted _ -> ()
   | _ -> failwith "E16: retire failed");
@@ -1946,7 +1947,7 @@ let e17 () =
   (* (b) the admission daemon at 10k resident loosely-coupled
      constraints: 100 interaction components; startup solves each once,
      every later admission re-solves only the touched component and
-     answers the other 99 from the component-schedule cache. *)
+     answers the other 99 from the daemon's answer cache. *)
   let n_comps = 100 in
   let tail = 48 in
   Printf.printf

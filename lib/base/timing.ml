@@ -9,10 +9,16 @@ type t = {
   kind : kind;
 }
 
+let max_time = 1 lsl 40
+
 let make ~name ~graph ~period ~deadline ~kind =
   if name = "" then invalid_arg "Timing.make: empty name";
   if period <= 0 then invalid_arg "Timing.make: period must be positive";
   if deadline <= 0 then invalid_arg "Timing.make: deadline must be positive";
+  if period > max_time || deadline > max_time then
+    invalid_arg
+      (Printf.sprintf "Timing.make: period and deadline must not exceed %d"
+         max_time);
   { name; graph; period; deadline; offset = 0; kind }
 
 let with_offset t o =

@@ -29,6 +29,12 @@ type t = private {
   kind : kind;
 }
 
+val max_time : int
+(** [2^40], the largest period or deadline {!make} accepts.  The
+    analyses form window sums such as a schedule cycle plus twice a
+    deadline plus a constant; with both bounds below [2^40] and a cycle
+    no longer than an array, every such sum fits a 63-bit [int]. *)
+
 val make :
   name:string ->
   graph:Task_graph.t ->
@@ -38,7 +44,8 @@ val make :
   t
 (** [make ~name ~graph ~period ~deadline ~kind] constructs a constraint
     with offset 0.  Raises [Invalid_argument] if [period <= 0],
-    [deadline <= 0] or the name is empty. *)
+    [deadline <= 0], either exceeds {!max_time}, or the name is
+    empty. *)
 
 val with_offset : t -> int -> t
 (** [with_offset c o] is [c] released with phase [o].  Raises

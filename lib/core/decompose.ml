@@ -134,13 +134,6 @@ let representatives (m : Model.t) =
   if dropped = 0 then (m, 0)
   else (Model.make ~comm:m.Model.comm ~constraints, dropped)
 
-let interaction_key (m : Model.t) comp =
-  ignore m;
-  comp.constraints
-  |> List.map constraint_sig
-  |> List.sort String.compare
-  |> String.concat "|"
-
 (* ------------------------------------------------------------------ *)
 (* Interleaving component schedules.                                  *)
 (* ------------------------------------------------------------------ *)

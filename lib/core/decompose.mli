@@ -42,6 +42,14 @@ val submodel : Model.t -> component -> Model.t
 (** The component's constraints over the model's full communication
     graph. *)
 
+val constraint_sig : Timing.t -> string
+(** A name-free signature of one constraint: its kind, period, offset,
+    deadline and task graph over global element ids, nodes in
+    declaration order.  Two constraints over one communication graph
+    with equal signatures demand the same executions in the same
+    windows.  {!representatives} groups constraints by this signature
+    less the deadline. *)
+
 val representatives : Model.t -> Model.t * int
 (** [representatives m] drops constraints dominated by a sibling with
     the same kind, period, offset and task graph but a smaller-or-equal
@@ -52,14 +60,6 @@ val representatives : Model.t -> Model.t * int
     original order at their class's first position.  Callers that need
     the {e definitive}-infeasibility property keep it: the reduced
     constraint set is a subset of the original. *)
-
-val interaction_key : Model.t -> component -> string
-(** A structural key for the component: the sorted multiset of its
-    constraints' (kind, period, deadline, offset, task graph over global
-    element ids).  Equal keys mean the submodels are equal up to
-    constraint names and order, so a schedule solving one solves the
-    other — the basis of the daemon's component-schedule cache.  Always
-    pair a cache hit with whole-model re-verification downstream. *)
 
 val interleave :
   Comm_graph.t -> Schedule.t list -> (Schedule.t, string) result

@@ -1,312 +1,9 @@
 open Rt_core
 
-type t = { key : string; order : int array }
+let of_constraints cs =
+  List.map Decompose.constraint_sig cs
+  |> List.sort String.compare
+  |> String.concat "|"
+  |> Digest.string
 
-(* ------------------------------------------------------------------ *)
-(* Colour refinement.                                                  *)
-(*                                                                     *)
-(* Colours are dense ranks of per-element signature strings, never     *)
-(* hashes: ranks are computed by sorting the signatures, so two        *)
-(* renamed copies of a model assign identical colours to corresponding *)
-(* elements by construction.                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Polymorphic on the signature type: initial colours rank strings,
-   refinement rounds rank (colour, neighbour-multiset) tuples directly —
-   structural compare on small int tuples is far cheaper than
-   formatting each signature into a string first. *)
-let rank_colors sigs =
-  let distinct = List.sort_uniq compare (Array.to_list sigs) in
-  let tbl = Hashtbl.create 16 in
-  List.iteri (fun i s -> Hashtbl.replace tbl s i) distinct;
-  (Array.map (Hashtbl.find tbl) sigs, List.length distinct)
-
-(* Adjacency lists, built once per canonicalisation.  The refinement
-   loop runs O(classes * class-size) rounds, so probing the dense
-   has_edge matrix inside every round turns sparse graphs (the daemon's
-   usual population) quadratic for nothing. *)
-type adj = { outs : int list array; ins : int list array }
-
-let adjacency g =
-  let n = Comm_graph.n_elements g in
-  let outs = Array.make n [] and ins = Array.make n [] in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if Comm_graph.has_edge g u v then begin
-        outs.(u) <- v :: outs.(u);
-        ins.(v) <- u :: ins.(v)
-      end
-    done
-  done;
-  { outs; ins }
-
-(* Constraint-usage seed: per element, the multiset of
-   (kind, period, deadline, offset, task-graph in/out degree) over
-   every task-graph node mapping to it — invariant under any renaming
-   or constraint reordering. *)
-let usage_signatures (m : Model.t) =
-  let n = Comm_graph.n_elements m.Model.comm in
-  let acc = Array.make n [] in
-  List.iter
-    (fun (c : Timing.t) ->
-      let g = c.Timing.graph in
-      let size = Task_graph.size g in
-      let indeg = Array.make size 0 and outdeg = Array.make size 0 in
-      List.iter
-        (fun (u, v) ->
-          outdeg.(u) <- outdeg.(u) + 1;
-          indeg.(v) <- indeg.(v) + 1)
-        (Task_graph.edges g);
-      let kind = match c.Timing.kind with
-        | Timing.Periodic -> 'p'
-        | Timing.Asynchronous -> 'a'
-      in
-      for v = 0 to size - 1 do
-        let e = Task_graph.element_of_node g v in
-        acc.(e) <-
-          Printf.sprintf "%c%d,%d,%d:%d>%d" kind c.Timing.period
-            c.Timing.deadline c.Timing.offset indeg.(v) outdeg.(v)
-          :: acc.(e)
-      done)
-    m.Model.constraints;
-  Array.map (fun l -> String.concat ";" (List.sort String.compare l)) acc
-
-let initial_colors (m : Model.t) =
-  let g = m.Model.comm in
-  let usage = usage_signatures m in
-  let sigs =
-    Array.init (Comm_graph.n_elements g) (fun e ->
-        Printf.sprintf "w%d%c[%s]" (Comm_graph.weight g e)
-          (if Comm_graph.pipelinable g e then 'p' else 'a')
-          usage.(e))
-  in
-  fst (rank_colors sigs)
-
-(* One refinement round: recolour by (own colour, sorted multiset of
-   out-neighbour colours, sorted multiset of in-neighbour colours). *)
-let refine_step adj colors =
-  let n = Array.length colors in
-  let sigs =
-    Array.init n (fun e ->
-        ( colors.(e),
-          List.sort compare (List.map (fun v -> colors.(v)) adj.outs.(e)),
-          List.sort compare (List.map (fun v -> colors.(v)) adj.ins.(e)) ))
-  in
-  rank_colors sigs
-
-let refine adj colors =
-  let n = Array.length colors in
-  let rec go colors k =
-    if k >= n then colors
-    else
-      let colors', k' = refine_step adj colors in
-      if k' = k then colors' else go colors' k'
-  in
-  let k0 = Array.length (Array.of_list (List.sort_uniq compare (Array.to_list colors))) in
-  go colors k0
-
-(* ------------------------------------------------------------------ *)
-(* Rendering under a fixed element order.                              *)
-(* ------------------------------------------------------------------ *)
-
-(* [inv.(eid)] = canonical index.  The rendering is a complete
-   structural description relative to the canonical order — equal
-   renderings let one read off an isomorphism directly, which is what
-   makes key collisions between distinct models impossible. *)
-let render (m : Model.t) inv =
-  let g = m.Model.comm in
-  let n = Comm_graph.n_elements g in
-  let order = Array.make n 0 in
-  Array.iteri (fun e i -> order.(i) <- e) inv;
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "n%d;" n);
-  for i = 0 to n - 1 do
-    let e = order.(i) in
-    Buffer.add_string b
-      (Printf.sprintf "w%d%c;" (Comm_graph.weight g e)
-         (if Comm_graph.pipelinable g e then 'p' else 'a'))
-  done;
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      if Comm_graph.has_edge g u v then edges := (inv.(u), inv.(v)) :: !edges
-    done
-  done;
-  List.iter
-    (fun (u, v) -> Buffer.add_string b (Printf.sprintf "e%d>%d;" u v))
-    (List.sort compare !edges);
-  let render_constraint (c : Timing.t) =
-    let tg = c.Timing.graph in
-    let size = Task_graph.size tg in
-    (* Node order inside one task graph: by canonical element index.
-       Ties (several nodes on one element) fall back to node id — the
-       spec language cannot express such graphs, so daemon-resident
-       models never hit the tie. *)
-    let nodes = List.init size Fun.id in
-    let keyed =
-      List.sort compare
-        (List.map (fun v -> ((inv.(Task_graph.element_of_node tg v), v), v)) nodes)
-    in
-    let pos = Array.make size 0 in
-    List.iteri (fun i (_, v) -> pos.(v) <- i) keyed;
-    let cb = Buffer.create 64 in
-    Buffer.add_string cb
-      (Printf.sprintf "%c%d,%d,%d["
-         (match c.Timing.kind with
-         | Timing.Periodic -> 'P'
-         | Timing.Asynchronous -> 'A')
-         c.Timing.period c.Timing.deadline c.Timing.offset);
-    List.iter
-      (fun (_, v) ->
-        Buffer.add_string cb
-          (Printf.sprintf "%d," inv.(Task_graph.element_of_node tg v)))
-      keyed;
-    Buffer.add_char cb '|';
-    List.iter
-      (fun (u, v) -> Buffer.add_string cb (Printf.sprintf "%d>%d," u v))
-      (List.sort compare
-         (List.map (fun (u, v) -> (pos.(u), pos.(v))) (Task_graph.edges tg)));
-    Buffer.add_char cb ']';
-    Buffer.contents cb
-  in
-  (* Constraint order: lexicographic on the (name-free) rendering, so
-     declaration order and names drop out of the key. *)
-  List.iter (Buffer.add_string b)
-    (List.sort String.compare (List.map render_constraint m.Model.constraints));
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Individualisation-refinement.                                       *)
-(* ------------------------------------------------------------------ *)
-
-exception Over_cap
-
-
-let ir_cap = 512
-
-let discrete colors =
-  let n = Array.length colors in
-  List.length (List.sort_uniq compare (Array.to_list colors)) = n
-
-let inv_of_colors colors =
-  (* Discrete colours are a permutation of 0..n-1 already (dense
-     ranks), so the colour IS the canonical index. *)
-  Array.copy colors
-
-let smallest_class colors =
-  let n = Array.length colors in
-  let count = Hashtbl.create 8 in
-  Array.iter
-    (fun c -> Hashtbl.replace count c (1 + Option.value ~default:0 (Hashtbl.find_opt count c)))
-    colors;
-  let best = ref None in
-  Hashtbl.iter
-    (fun c k ->
-      if k > 1 then
-        match !best with
-        | Some (c', _) when c' <= c -> ()
-        | _ -> best := Some (c, k))
-    count;
-  match !best with
-  | None -> None
-  | Some (c, _) ->
-      Some (c, List.filter (fun e -> colors.(e) = c) (List.init n Fun.id))
-
-(* Label-independent signature of a stable colouring: the sorted
-   multiset of per-vertex (colour, out-colour multiset, in-colour
-   multiset) strings.  Individualising two automorphic vertices yields
-   colourings with equal signatures, so exploring one representative
-   per signature prunes symmetric classes from factorial to linear
-   without losing the minimal rendering.  (Two non-automorphic choices
-   with colliding signatures would merely make the chosen key depend on
-   the representative — a lost cache hit on a WL-indistinguishable
-   gadget, never a collision: the rendering stays complete.) *)
-let partition_signature adj colors =
-  let n = Array.length colors in
-  let per =
-    Array.init n (fun u ->
-        ( colors.(u),
-          List.sort compare (List.map (fun v -> colors.(v)) adj.outs.(u)),
-          List.sort compare (List.map (fun v -> colors.(v)) adj.ins.(u)) ))
-  in
-  List.sort compare (Array.to_list per)
-
-let of_model (m : Model.t) =
-  let g = m.Model.comm in
-  let adj = adjacency g in
-  let n = Comm_graph.n_elements g in
-  let steps = ref 0 in
-  let best = ref None in
-  let consider inv =
-    let r = render m inv in
-    match !best with
-    | Some (r', _) when String.compare r' r <= 0 -> ()
-    | _ -> best := Some (r, inv)
-  in
-  let rec search colors =
-    incr steps;
-    if !steps > ir_cap then raise Over_cap;
-    let colors = refine adj colors in
-    if discrete colors then consider (inv_of_colors colors)
-    else
-      match smallest_class colors with
-      | None -> consider (inv_of_colors colors) (* unreachable *)
-      | Some (_, members) ->
-          let seen = Hashtbl.create 8 in
-          List.iter
-            (fun e ->
-              (* Individualise [e]: give it a colour just below its
-                 class (fresh by density of ranks after re-ranking). *)
-              let sigs =
-                Array.mapi (fun i c -> (c, if i = e then 0 else 1)) colors
-              in
-              let ind = refine adj (fst (rank_colors sigs)) in
-              let sig_ = partition_signature adj ind in
-              if not (Hashtbl.mem seen sig_) then begin
-                Hashtbl.add seen sig_ ();
-                search ind
-              end)
-            members
-  in
-  let key, inv =
-    match search (initial_colors m) with
-    | () -> Option.get !best
-    | exception Over_cap ->
-        (* Deterministic fallback: order by (refined colour, element
-           name).  Still collision-free (the rendering is complete);
-           only renaming-invariance is lost, costing cache hits on this
-           pathologically symmetric model, never correctness. *)
-        let colors = refine adj (initial_colors m) in
-        let keyed =
-          List.sort compare
-            (List.init n (fun e ->
-                 ((colors.(e), (Comm_graph.element g e).Rt_base.Element.name), e)))
-        in
-        let inv = Array.make n 0 in
-        List.iteri (fun i (_, e) -> inv.(e) <- i) keyed;
-        ("!fb;" ^ render m inv, inv)
-  in
-  let order = Array.make n 0 in
-  Array.iteri (fun e i -> order.(i) <- e) inv;
-  { key; order }
-
-let canonical_slots t sched =
-  let n = Array.length t.order in
-  let inv = Array.make n 0 in
-  Array.iteri (fun i e -> inv.(e) <- i) t.order;
-  Array.map
-    (function Rt_base.Schedule.Idle -> -1 | Rt_base.Schedule.Run e -> inv.(e))
-    (Rt_base.Schedule.slots sched)
-
-let schedule_of_slots t slots =
-  let n = Array.length t.order in
-  if Array.length slots = 0 then None
-  else if Array.exists (fun i -> i >= n || i < -1) slots then None
-  else
-    Some
-      (Rt_base.Schedule.of_array
-         (Array.map
-            (fun i ->
-              if i < 0 then Rt_base.Schedule.Idle
-              else Rt_base.Schedule.Run t.order.(i))
-            slots))
+let of_model (m : Model.t) = of_constraints m.Model.constraints

@@ -1,46 +1,24 @@
-(** Canonical forms of graph-based models — the memo key of the
-    admission daemon.
+(** The key of the admission daemon's answer cache.
 
-    Two models that differ only in element names, constraint names, or
-    the order constraints were declared in describe the same scheduling
-    problem, and a schedule for one maps to a schedule for the other by
-    renaming elements.  Canonisation computes a labelling of the
-    elements that depends only on the structure (Gonczarowski's
-    canonisation of timely constraint sets is the motif): the canonical
-    {e key} is the model rendered in that labelling, so
+    In the daemon's model [M = (G, T)] only [T] ever changes: admits,
+    retires and replayed records are elaborated against the resident
+    communication graph [G] and cannot add elements or edges, so element
+    ids are fixed for the daemon's life.  Two constraint multisets over
+    [G] that differ only in constraint names and declaration order
+    describe the same scheduling problem, and a schedule solving one
+    solves the other verbatim.
 
-    - renaming elements or constraints, or reordering constraints,
-      leaves the key unchanged, and
-    - equal keys imply isomorphic models — the key {e is} a complete
-      structural description, so distinct models can never collide.
+    The key is the sorted multiset of the constraints' name-free
+    signatures ({!Rt_core.Decompose.constraint_sig}: kind, period,
+    offset, deadline and task graph over element ids), hashed with
+    [Digest.string] to a fixed size.  Renaming or reordering
+    constraints leaves it unchanged; renaming elements is out of scope,
+    because [G] is fixed.  A collision can only cost a lost or spurious
+    cache hit: every hit is re-verified against the whole model,
+    certified and re-checked by the trusted core before use. *)
 
-    The labelling is found by Weisfeiler-Leman colour refinement over
-    the communication graph seeded with element weights, pipelinability
-    and constraint-usage signatures, followed by
-    individualisation-refinement on surviving symmetric classes,
-    choosing the lexicographically least rendering.  The backtracking
-    is capped; past the cap a deterministic name-based fallback keeps
-    the key well-defined (it merely stops being renaming-invariant for
-    that pathological model — a lost cache hit, never a wrong one,
-    because every memo hit is re-certified fail-closed before use). *)
+val of_constraints : Rt_core.Timing.t list -> string
+(** The key of a constraint multiset. *)
 
-type t = {
-  key : string;
-      (** The canonical rendering.  Equal keys iff isomorphic models
-          (up to the individualisation cap). *)
-  order : int array;
-      (** [order.(i)] is the element id holding canonical index [i];
-          maps a schedule stored in canonical indices back onto this
-          model's elements. *)
-}
-
-val of_model : Rt_core.Model.t -> t
-
-val canonical_slots : t -> Rt_base.Schedule.t -> int array
-(** One schedule cycle in canonical element indices ([-1] = idle) —
-    the form a memo entry stores. *)
-
-val schedule_of_slots : t -> int array -> Rt_base.Schedule.t option
-(** Map canonical slots back onto this model's elements; [None] if an
-    index is out of range (a memo entry from an incompatible key —
-    callers re-verify anyway). *)
+val of_model : Rt_core.Model.t -> string
+(** [of_constraints] of the model's constraints. *)

@@ -17,14 +17,17 @@ type t = {
   mutable cert : string;  (* digest of the persisted certificate, "" if none *)
   journal : Journal.t;
   tables : (string, Game.table) Hashtbl.t;  (* model digest -> dead facts *)
-  memo : (string, int array) Hashtbl.t;  (* canonical key -> canonical slots *)
-  comp_cache : (string, Rt_base.Schedule.t) Hashtbl.t;
-      (* Decompose.interaction_key -> component schedule.  An admission
-         touching one interaction component re-solves that component
-         only; the untouched components answer from here (counted by
+  cache : (string, Rt_base.Schedule.t) Hashtbl.t;
+      (* Canon key of a constraint multiset -> a schedule that solved
+         it over the resident communication graph, which no mutation
+         changes.  Looked up for the whole candidate (the memo rung)
+         and for each interaction component (the component-local rung:
+         an admission touching one component re-solves that component
+         only, the untouched ones answer from here, counted by
          decompose/component_reuses).  Entries are untrusted hints:
-         every merged schedule still passes whole-model verification
-         and the trusted certificate check before publication. *)
+         every answer built from one still passes whole-model
+         verification and the trusted certificate check before
+         publication. *)
   pool : Rt_par.Pool.t option;
 }
 
@@ -32,8 +35,7 @@ type t = {
    a full reset on overflow is sound and keeps memory bounded under
    adversarial churn. *)
 let max_tables = 32
-let max_memo = 1024
-let max_comp_cache = 8192
+let max_cache = 8192
 
 let memo_hits = Rt_obs.Metrics.counter "daemon/memo_hits"
 let memo_misses = Rt_obs.Metrics.counter "daemon/memo_misses"
@@ -82,14 +84,9 @@ let table_for t digest =
       Hashtbl.replace t.tables digest tb;
       tb
 
-let memo_store t canon slots =
-  if Hashtbl.length t.memo >= max_memo then Hashtbl.reset t.memo;
-  Hashtbl.replace t.memo canon.Canon.key slots
-
-let comp_cache_store t key sched =
-  if Hashtbl.length t.comp_cache >= max_comp_cache then
-    Hashtbl.reset t.comp_cache;
-  Hashtbl.replace t.comp_cache key sched
+let cache_store t key sched =
+  if Hashtbl.length t.cache >= max_cache then Hashtbl.reset t.cache;
+  Hashtbl.replace t.cache key sched
 
 (* ------------------------------------------------------------------ *)
 (* The mutation path shared by serving and journal replay.             *)
@@ -138,27 +135,20 @@ let retired t name =
             | Error diags -> Error (`Check_failed diags)
             | Ok cert_digest -> Ok (m', Some sched, cert_digest)))
 
-(* Apply a certified state and seed the memo with it.  [canon] saves
-   recomputing the canonical form when the caller already has it. *)
-let commit ?canon t m' sched cert =
+(* Apply a certified state and seed the answer cache with it. *)
+let commit t m' sched cert =
   t.model <- m';
   t.schedule <- sched;
   t.cert <- cert;
-  match sched with
-  | None -> ()
-  | Some sched ->
-      let canon =
-        match canon with Some c -> c | None -> Canon.of_model m'
-      in
-      memo_store t canon (Canon.canonical_slots canon sched)
+  Option.iter (cache_store t (Canon.of_model m')) sched
 
 (* Write-ahead: the record is fsynced before the state is applied. *)
-let journal_commit ?canon t record m' sched cert =
+let journal_commit t record m' sched cert =
   match Journal.append t.journal record with
   | Error e -> Error e
   | Ok () ->
       Rt_obs.Metrics.incr journal_records;
-      commit ?canon t m' sched cert;
+      commit t m' sched cert;
       Ok ()
 
 let verdict_string = function
@@ -193,7 +183,7 @@ let plain_solve ?budget ~level t (m' : Model.t) =
     m'
 
 (* Component-local answer path: solve only the interaction components
-   whose structure is not already in the component-schedule cache, then
+   whose constraints are not already in the answer cache, then
    interleave and re-verify against the whole candidate model.  The
    outer component loop is sequential (the cache is not domain-safe);
    each component solve gets the pool.  Outcomes:
@@ -211,8 +201,8 @@ let decomposed_solve ?budget ~level t (m' : Model.t) =
           [ `Definitive of string list | `Timeout of string | `Give_up ]
       in
       let solve ~sub comp =
-        let key = Decompose.interaction_key m' comp in
-        match Hashtbl.find_opt t.comp_cache key with
+        let key = Canon.of_constraints comp.Decompose.constraints in
+        match Hashtbl.find_opt t.cache key with
         | Some sched ->
             Rt_par.Perf.incr Rt_par.Perf.decompose_component_reuses;
             sched
@@ -226,7 +216,7 @@ let decomposed_solve ?budget ~level t (m' : Model.t) =
                 sub
             with
             | Ok plan ->
-                comp_cache_store t key plan.Synthesis.schedule;
+                cache_store t key plan.Synthesis.schedule;
                 plan.Synthesis.schedule
             | Error err when err.Synthesis.stage = "exact" ->
                 let names =
@@ -283,15 +273,12 @@ let solve ?budget ~level t (m' : Model.t) =
 (* Find a certified schedule for candidate model [m'].  Returns
    (schedule, path) or a diagnosable failure.  Never mutates the
    resident certified state ([t.model]/[t.schedule]/[t.cert]); the
-   game-table and component-schedule caches may grow. *)
-let find_schedule ?budget ~level t canon (m' : Model.t) =
+   game-table and answer caches may grow. *)
+let find_schedule ?budget ~level t (m' : Model.t) =
   let memo_hit =
-    match Hashtbl.find_opt t.memo canon.Canon.key with
-    | None -> None
-    | Some slots -> (
-        match Canon.schedule_of_slots canon slots with
-        | Some sched when verifies m' sched -> Some sched
-        | _ -> None)
+    match Hashtbl.find_opt t.cache (Canon.of_model m') with
+    | Some sched when verifies m' sched -> Some sched
+    | _ -> None
   in
   match memo_hit with
   | Some sched ->
@@ -317,8 +304,7 @@ let admit_or_probe ?budget ~level ~commit t decl =
              not touch resident state — it stays certified. *)
           Analytic_only { verdict = verdict_string verdict }
       | _ -> (
-          let canon = Canon.of_model m' in
-          match find_schedule ?budget ~level t canon m' with
+          match find_schedule ?budget ~level t m' with
           | Error (`Timeout reason) ->
               Rt_obs.Metrics.incr timeouts;
               Timed_out reason
@@ -350,8 +336,7 @@ let admit_or_probe ?budget ~level ~commit t decl =
                         }
                     in
                     match
-                      journal_commit ~canon t record m' (Some sched)
-                        cert_digest
+                      journal_commit t record m' (Some sched) cert_digest
                     with
                     | Error e -> Journal_failed e
                     | Ok () ->
@@ -520,8 +505,7 @@ let create ?pool ?startup_budget ~journal ?spec () =
               cert = "";
               journal = jh;
               tables = Hashtbl.create 8;
-              memo = Hashtbl.create 64;
-              comp_cache = Hashtbl.create 64;
+              cache = Hashtbl.create 64;
               pool;
             }
           in
@@ -578,6 +562,6 @@ let create ?pool ?startup_budget ~journal ?spec () =
 let model t = t.model
 let schedule t = t.schedule
 let cert_digest t = t.cert
-let memo_size t = Hashtbl.length t.memo
+let memo_size t = Hashtbl.length t.cache
 let resident_tables t = Hashtbl.length t.tables
 let close t = Journal.close t.journal

@@ -1,7 +1,7 @@
 (** The daemon's resident state machine.
 
     Holds the current model, its certified schedule, the per-model
-    resident game tables and the canonical-form memo, and performs the
+    resident game tables and the answer cache, and performs the
     validate → certify → check → journal → mutate sequence for every
     state change.  The invariant the module maintains is {e fail
     closed}: the resident (model, schedule) pair has always passed the
@@ -25,7 +25,7 @@ type outcome =
   | Admitted of { path : string; verdict : string }
       (** Committed.  [path] says which answer path produced the
           schedule: ["warm"] (current schedule still verifies),
-          ["memo"] (canonical-form cache hit) or ["synth"]. *)
+          ["memo"] (answer-cache hit) or ["synth"]. *)
   | Analytic_only of { verdict : string }
       (** Analytic answer under degradation; state not changed. *)
   | Rejected of string list  (** Infeasible, invalid or unknown. *)
@@ -48,7 +48,7 @@ val create :
     source); a non-empty journal is replayed record by record, with
     every model digest and certificate digest re-verified and every
     intermediate state re-checked by the trusted core — any mismatch
-    refuses to start.  Replay also reseeds the canonical-form memo. *)
+    refuses to start.  Replay also reseeds the answer cache. *)
 
 val admit : ?budget:Budget.t -> level:level -> t -> string -> outcome
 (** [admit t decl] admits one constraint declaration (specification

@@ -62,8 +62,8 @@ val decompose_component_solves : counter
     decomposition pass — as opposed to answered from a cache. *)
 
 val decompose_component_reuses : counter
-(** Component solves answered from a component-schedule cache (the
-    daemon's component-local re-admission path) without re-solving. *)
+(** Component solves answered from the daemon's answer cache (its
+    component-local re-admission path) without re-solving. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit

@@ -1,9 +1,10 @@
-(* Daemon-layer tests: canonical-form invariance (the memo key of
-   rtsynd), key injectivity over the example suite, journal torn-tail
-   and corruption semantics, and engine crash-replay.  The canonical
-   form must be invariant under α-renaming of elements and constraints,
-   element id permutation and constraint reordering — that is exactly
-   what makes the cross-request memo sound for renamed tenants. *)
+(* Daemon-layer tests: the answer-cache key of rtsynd (invariant under
+   constraint renaming and reordering, sensitive to every scheduling
+   field, injective over the example suite), journal torn-tail and
+   corruption semantics, and engine crash-replay.  A daemon never
+   changes its communication graph, so element ids are fixed and the
+   key need not survive element renaming: renamed tenants differ from
+   resident ones in constraint names only. *)
 
 open Rt_core
 module Canon = Rt_daemon.Canon
@@ -17,7 +18,7 @@ let checkb = Alcotest.check Alcotest.bool
 let checks = Alcotest.check Alcotest.string
 
 (* ------------------------------------------------------------------ *)
-(* Canonical form                                                      *)
+(* Answer-cache key                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let shuffle prng arr =
@@ -28,47 +29,23 @@ let shuffle prng arr =
     arr.(j) <- t
   done
 
-(* α-rename every element and constraint, permute the element ids and
-   reorder the constraint list — structurally the same model. *)
-let renamed_permuted prng salt (m : Model.t) =
-  let g = m.Model.comm in
-  let n = Rt_base.Comm_graph.n_elements g in
-  let perm = Array.init n Fun.id in
-  shuffle prng perm;
-  let inv = Array.make n 0 in
-  Array.iteri (fun old_id new_id -> inv.(new_id) <- old_id) perm;
-  let name new_id = Printf.sprintf "t%d_e%d" salt new_id in
-  let elements =
-    List.init n (fun new_id ->
-        let old_id = inv.(new_id) in
-        ( name new_id,
-          Rt_base.Comm_graph.weight g old_id,
-          Rt_base.Comm_graph.pipelinable g old_id ))
-  in
-  let edges =
-    List.map
-      (fun (u, v) -> (name perm.(u), name perm.(v)))
-      (Rt_graph.Digraph.edges (Rt_base.Comm_graph.graph g))
-  in
-  let comm = Rt_base.Comm_graph.create ~elements ~edges in
+(* Rename every constraint and reorder the constraint list — the same
+   constraint multiset over the same communication graph. *)
+let renamed_reordered prng salt (m : Model.t) =
   let constraints =
     List.mapi
       (fun i (c : Timing.t) ->
-        let tg =
-          Rt_base.Task_graph.map_elements c.graph ~f:(fun e -> perm.(e))
-        in
         let c' =
           Timing.make
             ~name:(Printf.sprintf "t%d_c%d" salt i)
-            ~graph:tg ~period:c.period ~deadline:c.deadline ~kind:c.kind
+            ~graph:c.graph ~period:c.period ~deadline:c.deadline ~kind:c.kind
         in
-        if c.offset = 0 || Timing.is_asynchronous c then c'
-        else Timing.with_offset c' c.offset)
+        if c.offset = 0 then c' else Timing.with_offset c' c.offset)
       m.Model.constraints
   in
   let arr = Array.of_list constraints in
   shuffle prng arr;
-  Model.make ~comm ~constraints:(Array.to_list arr)
+  Model.make ~comm:m.Model.comm ~constraints:(Array.to_list arr)
 
 let random_model prng i =
   match i mod 4 with
@@ -93,15 +70,80 @@ let test_canon_invariance () =
   let prng = Rt_graph.Prng.create 4242 in
   for i = 1 to 60 do
     let m = random_model prng i in
-    let key = (Canon.of_model m).Canon.key in
+    let key = Canon.of_model m in
     for salt = 1 to 3 do
-      let m' = renamed_permuted prng ((100 * i) + salt) m in
+      let m' = renamed_reordered prng ((100 * i) + salt) m in
       checks
         (Printf.sprintf "key invariant under renaming (model %d salt %d)" i
            salt)
-        key
-        (Canon.of_model m').Canon.key
+        key (Canon.of_model m')
     done
+  done
+
+(* One-field variants of a constraint: kind, period, deadline, offset
+   (periodic only; asynchronous constraints carry none) and the element
+   of one task-graph node (moved to an element the graph does not use). *)
+let one_field_variants n_elements (c : Timing.t) =
+  let remake ?(graph = c.graph) ?(period = c.period) ?(deadline = c.deadline)
+      ?(kind = c.kind) ?(offset = c.offset) what =
+    let c' = Timing.make ~name:c.name ~graph ~period ~deadline ~kind in
+    (what, if offset = 0 then c' else Timing.with_offset c' offset)
+  in
+  let flipped =
+    match c.kind with
+    | Timing.Periodic -> remake ~kind:Timing.Asynchronous ~offset:0 "kind"
+    | Timing.Asynchronous -> remake ~kind:Timing.Periodic "kind"
+  in
+  let offset =
+    if Timing.is_periodic c && c.period > 1 then
+      [ remake ~offset:((c.offset + 1) mod c.period) "offset" ]
+    else []
+  in
+  let element =
+    let used = Rt_base.Task_graph.elements_used c.graph in
+    let unused e = not (List.mem e used) in
+    match List.find_opt unused (List.init n_elements Fun.id) with
+    | None -> []
+    | Some fresh ->
+        let moved = Rt_base.Task_graph.element_of_node c.graph 0 in
+        [
+          remake
+            ~graph:
+              (Rt_base.Task_graph.map_elements c.graph ~f:(fun e ->
+                   if e = moved then fresh else e))
+            "element";
+        ]
+  in
+  [
+    flipped;
+    remake ~period:(c.period + 1) "period";
+    remake ~deadline:(c.deadline + 1) "deadline";
+  ]
+  @ offset @ element
+
+let test_canon_field_sensitivity () =
+  let prng = Rt_graph.Prng.create 99 in
+  for i = 1 to 40 do
+    let m = random_model prng i in
+    let key = Canon.of_model m in
+    let n = Rt_base.Comm_graph.n_elements m.Model.comm in
+    List.iteri
+      (fun j (c : Timing.t) ->
+        List.iter
+          (fun (what, c') ->
+            let constraints =
+              List.mapi
+                (fun k d -> if k = j then c' else d)
+                m.Model.constraints
+            in
+            checkb
+              (Printf.sprintf
+                 "changing the %s of constraint %d changes the key (model %d)"
+                 what j i)
+              false
+              (String.equal key (Canon.of_constraints constraints)))
+          (one_field_variants n c))
+      m.Model.constraints
   done
 
 let test_canon_no_collisions () =
@@ -118,9 +160,7 @@ let test_canon_no_collisions () =
       ("infeasible_pair", Rt_workload.Suite.infeasible_pair);
     ]
   in
-  let keyed =
-    List.map (fun (n, m) -> (n, (Canon.of_model m).Canon.key)) suite
-  in
+  let keyed = List.map (fun (n, m) -> (n, Canon.of_model m)) suite in
   List.iteri
     (fun i (ni, ki) ->
       List.iteri
@@ -131,31 +171,6 @@ let test_canon_no_collisions () =
               false (String.equal ki kj))
         keyed)
     keyed
-
-let test_canon_schedule_roundtrip () =
-  let m = Rt_workload.Suite.control_system Rt_workload.Suite.default_params in
-  match Synthesis.synthesize m with
-  | Error e -> Alcotest.failf "synthesize: %a" Synthesis.pp_error e
-  | Ok plan ->
-      let mu = plan.Synthesis.model_used in
-      let sched = plan.Synthesis.schedule in
-      let cn = Canon.of_model mu in
-      let slots = Canon.canonical_slots cn sched in
-      (match Canon.schedule_of_slots cn slots with
-      | None -> Alcotest.fail "schedule_of_slots refused its own slots"
-      | Some sched' ->
-          checks "schedule survives the canonical round trip"
-            (Rt_base.Schedule.to_string mu.Model.comm sched)
-            (Rt_base.Schedule.to_string mu.Model.comm sched'));
-      (* and the canonical slots are themselves renaming-invariant up
-         to the element relabelling: same multiset of indices *)
-      let sorted a =
-        let c = Array.copy a in
-        Array.sort compare c;
-        c
-      in
-      checkb "canonical slots cover the same work" true
-        (sorted slots = sorted (Canon.canonical_slots cn sched))
 
 (* ------------------------------------------------------------------ *)
 (* Journal                                                             *)
@@ -210,7 +225,7 @@ let test_engine_memo_and_replay () =
         (match Engine.retire eng "q" with
         | Engine.Admitted _ -> ()
         | _ -> Alcotest.fail "retire failed");
-        (* α-renamed tenant: same canonical form, must hit the memo *)
+        (* renamed tenant: same constraint multiset, must hit the memo *)
         checks "renamed tenant hits the memo" "memo"
           (admit_path eng (decl_q "tenant_b"));
         let d = Rt_check.Certificate.digest_of_model (Engine.model eng) in
@@ -296,6 +311,35 @@ let test_engine_retire_memo_replay () =
   checks "replayed: same answer path as live" "memo"
     (admit_path eng (decl_b "b2"));
   Engine.close eng
+
+(* A deadline near max_int would overflow the certify horizon (cycle +
+   2 * deadline + 1), and the trusted core would veto the answer.  Such
+   a declaration is invalid: it must be rejected before any solve and
+   leave daemon/check_failures, the count of trusted-core vetoes,
+   untouched. *)
+let test_engine_huge_timing_rejected () =
+  with_temp_journal @@ fun journal ->
+  match Engine.create ~journal ~spec:base_spec () with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok eng ->
+      let vetoes = Rt_obs.Metrics.counter "daemon/check_failures" in
+      let before = Rt_obs.Metrics.value vetoes in
+      List.iter
+        (fun decl ->
+          (match Engine.admit ~level:Engine.Full eng decl with
+          | Engine.Rejected _ -> ()
+          | _ -> Alcotest.failf "not rejected: %s" decl);
+          Alcotest.check Alcotest.int "check_failures unchanged" before
+            (Rt_obs.Metrics.value vetoes))
+        [
+          Printf.sprintf
+            "constraint a asynchronous separation 10 deadline %d { f_x; }"
+            max_int;
+          Printf.sprintf
+            "constraint b asynchronous separation %d deadline 10 { f_x; }"
+            (Timing.max_time + 1);
+        ];
+      Engine.close eng
 
 (* The structural candidate (one declaration elaborated against the
    resident communication graph) against the reference it replaced:
@@ -763,8 +807,8 @@ let () =
             test_canon_invariance;
           Alcotest.test_case "no collisions across the example suite" `Quick
             test_canon_no_collisions;
-          Alcotest.test_case "canonical schedule round trip" `Quick
-            test_canon_schedule_roundtrip;
+          Alcotest.test_case "key changes with every scheduling field"
+            `Quick test_canon_field_sensitivity;
         ] );
       ( "journal",
         [ Alcotest.test_case "digest" `Quick test_journal_digest ] );
@@ -780,6 +824,8 @@ let () =
             test_structural_candidate;
           Alcotest.test_case "old journal replays to its digest" `Quick
             test_journal_compat;
+          Alcotest.test_case "huge period or deadline is rejected" `Quick
+            test_engine_huge_timing_rejected;
         ] );
       ( "framing",
         [

@@ -7,7 +7,7 @@
 #   1. stream a mutation batch, kill -9 the daemon mid-stream;
 #   2. restart on the same journal: replay must reach the digest the
 #      live daemon last reported, reverify must pass, and an admit of
-#      an alpha-renamed tenant must hit the canonical-form memo
+#      an alpha-renamed tenant must hit the memo
 #      (asserted via the daemon/memo_hits counter in stats);
 #   3. a 10x burst against a tiny queue must shed with structured
 #      "overloaded" responses (never a wedge) and the process must
@@ -69,12 +69,20 @@ wait_for() { # wait_for FILE PATTERN COUNT
   fail "timed out waiting for $3 x $2 in $1"
 }
 
+# Wait until a daemon answers on the socket, not merely until the file
+# exists: after a kill -9 the dead daemon's socket file stays behind,
+# and a client connecting before the restarted daemon has bound would
+# be refused.
 wait_for_sock() { # wait_for_sock PATH
   for _ in $(seq 1 100); do
-    [ -S "$1" ] && return 0
+    if [ -S "$1" ] && echo '{"v":1,"id":"probe","op":"stats"}' \
+        | "$RTSYND_CLIENT" --socket "$1" --timeout-s 5 2>/dev/null \
+        | grep -q '"id":"probe","ok":true'; then
+      return 0
+    fi
     sleep 0.1
   done
-  fail "socket $1 never appeared"
+  fail "no daemon answered stats on socket $1"
 }
 
 stdin_sections() {
@@ -114,7 +122,7 @@ grep -q '"id":"r1","ok":true' "$DIR/out2" || fail "reverify after replay failed"
 grep '"id":"r1"' "$DIR/out2" | grep -qF "$DIGEST" \
   || fail "replayed digest does not match the pre-crash state ($DIGEST)"
 grep '"id":"a3"' "$DIR/out2" | grep -q '"path":"memo"' \
-  || fail "alpha-renamed tenant did not hit the canonical-form memo"
+  || fail "alpha-renamed tenant did not hit the memo"
 MEMO_HITS=$(grep '"id":"s2"' "$DIR/out2" | grep -o '"memo_hits":[0-9]*' | cut -d: -f2)
 [ "${MEMO_HITS:-0}" -ge 1 ] || fail "daemon/memo_hits counter is ${MEMO_HITS:-absent}"
 REPLAYED=$(grep '"id":"s2"' "$DIR/out2" | grep -o '"replayed_records":[0-9]*' | cut -d: -f2)
@@ -208,7 +216,7 @@ printf '%s\n' \
   || fail "post-crash socket client failed"
 grep -q '"id":"r1","ok":true' "$DIR/sock_out2" || fail "socket reverify after replay failed"
 grep '"id":"a3"' "$DIR/sock_out2" | grep -q '"path":"memo"' \
-  || fail "socket alpha-renamed tenant did not hit the canonical-form memo"
+  || fail "socket alpha-renamed tenant did not hit the memo"
 REPLAYED=$(grep '"id":"s1"' "$DIR/sock_out2" | grep -o '"replayed_records":[0-9]*' | cut -d: -f2)
 [ "${REPLAYED:-0}" -ge 1 ] || fail "no journal records replayed over the socket"
 echo '{"v":1,"id":"z","op":"shutdown"}' \
