@@ -1,9 +1,11 @@
 (* rtsynd — the resident admission/synthesis daemon.
 
-   Speaks the versioned jsonl protocol of Rt_daemon.Protocol on
-   stdin/stdout; every state mutation is journaled (write-ahead,
-   fsynced) before it is acknowledged, so kill -9 + restart replays to
-   the digest-verified pre-crash certified state.  See docs/DAEMON.md. *)
+   Speaks the versioned jsonl protocol of Rt_daemon.Protocol through one
+   event loop (Rt_daemon.Transport): to clients of --socket / --tcp, or,
+   with neither, to stdin/stdout as its one connection.  Every state
+   mutation is journaled (write-ahead, fsynced) before it is
+   acknowledged, so kill -9 + restart replays to the digest-verified
+   pre-crash certified state.  See docs/DAEMON.md. *)
 
 open Cmdliner
 
@@ -28,19 +30,16 @@ let run spec journal max_queue max_frame degrade_heuristic degrade_analytic
     }
   in
   let serve cfg =
-    match (socket, tcp) with
-    | None, None -> Rt_daemon.Daemon.run cfg
-    | _ ->
-        Rt_daemon.Transport.run
-          {
-            Rt_daemon.Transport.default with
-            Rt_daemon.Transport.socket;
-            tcp;
-            max_conns;
-            conn_queue;
-            idle_timeout_s;
-          }
-          cfg
+    Rt_daemon.Transport.run
+      {
+        Rt_daemon.Transport.default with
+        Rt_daemon.Transport.socket;
+        tcp;
+        max_conns;
+        conn_queue;
+        idle_timeout_s;
+      }
+      cfg
   in
   match spec with
   | None -> serve cfg
@@ -68,8 +67,8 @@ let journal_arg =
 
 let max_queue_arg =
   let doc =
-    "Bounded request queue; requests beyond this depth are shed with an \
-     $(i,overloaded) response."
+    "Pending requests across all connections (stdin included); requests \
+     beyond this depth are shed with an $(i,overloaded) response."
   in
   Arg.(value & opt int 64 & info [ "max-queue" ] ~docv:"N" ~doc)
 
@@ -111,9 +110,9 @@ let max_conns_arg =
 
 let conn_queue_arg =
   let doc =
-    "Per-connection pending-request cap in socket mode; beyond it the newest \
-     request from that connection is shed with an $(i,overloaded) response \
-     (the global $(b,--max-queue) cap applies across connections)."
+    "Per-connection pending-request cap in socket mode (stdin has only the \
+     $(b,--max-queue) cap); beyond it the newest request from that \
+     connection is shed with an $(i,overloaded) response."
   in
   Arg.(
     value
@@ -123,7 +122,7 @@ let conn_queue_arg =
 let idle_timeout_arg =
   let doc =
     "Close socket connections idle for more than $(docv) seconds (0 = \
-     never)."
+     never).  Stdin is never closed for idleness."
   in
   Arg.(
     value
@@ -171,11 +170,13 @@ let cmd =
         "$(tname) keeps a graph-based model, its certified schedule and the \
          exact engine's learned state resident, and serves admit / retire / \
          what-if / reverify / stats / snapshot / shutdown requests as one \
-         JSON object per line on stdin/stdout — or, with $(b,--socket) / \
-         $(b,--tcp), to many concurrent clients at once (round-robin \
-         fairness, per-connection and global backpressure, idle/read \
-         timeouts, graceful drain on shutdown; mutations stay serialized \
-         through the journal).";
+         JSON object per line.  One event loop serves them: with \
+         $(b,--socket) / $(b,--tcp), to many concurrent clients at once \
+         (round-robin fairness, per-connection and global backpressure, \
+         idle/read timeouts); with neither, to stdin/stdout as its one \
+         connection.  Mutations stay serialized through the journal.  A \
+         $(i,shutdown) request drains: requests already queued are \
+         answered before the process exits.";
       `P
         "Every acknowledged mutation has passed the trusted certificate \
          checker and been fsynced to the write-ahead journal first; restart \
@@ -183,7 +184,9 @@ let cmd =
          deterministically and degrades exact $(b,->) heuristic $(b,->) \
          analytic as queue depth grows.";
       `S Manpage.s_exit_status;
-      `P "0 on clean shutdown (stdin closed or $(i,shutdown) request);";
+      `P
+        "0 on clean shutdown: stdin closed (once its queued requests are \
+         answered) or a $(i,shutdown) request drained;";
       `P
         "1 when startup fails: corrupt journal, digest mismatch on replay, \
          or an infeasible base system;";

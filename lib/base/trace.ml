@@ -51,6 +51,8 @@ let of_slots g a =
   in
   { horizon = Array.length a; by_elem }
 
+let max_horizon = 1 lsl 23
+
 let of_schedule g l ~horizon = of_slots g (Schedule.unroll l horizon)
 
 let horizon t = t.horizon

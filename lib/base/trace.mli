@@ -25,6 +25,14 @@ val of_slots : Comm_graph.t -> Schedule.slot array -> t
     incomplete execution (fewer than [weight] slots) is dropped; it has
     not finished within the trace. *)
 
+val max_horizon : int
+(** [2^23] slots: the longest trace an analysis unrolls (a few hundred
+    MB of instances).  A question that would need a longer trace gets
+    no answer (latency, response or certificate) instead of an
+    allocation that can exhaust memory.  The longest trace any bundled
+    test, bench experiment or benchmark workload unrolls is under
+    [2^17] slots. *)
+
 val of_schedule : Comm_graph.t -> Schedule.t -> horizon:int -> t
 (** [of_schedule g l ~horizon] unrolls the static schedule [l] for
     [horizon] slots and decomposes the result. *)

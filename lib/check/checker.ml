@@ -61,11 +61,12 @@ let check_exec errs tr (c : Timing.t) ~label ~lo ~hi (x : Certificate.exec) =
   end
 
 (* Invocation phases of a periodic constraint repeat with
-   lcm(period, cycle); [None] when that overflows. *)
+   lcm(period, cycle); [None] when that overflows or exceeds
+   [Trace.max_horizon]. *)
 let super_of cycle (c : Timing.t) =
   match Rt_graph.Intmath.lcm c.Timing.period cycle with
-  | s -> Some s
-  | exception Rt_graph.Intmath.Overflow -> None
+  | s when s <= Trace.max_horizon -> Some s
+  | _ | (exception Rt_graph.Intmath.Overflow) -> None
 
 let check_witness errs tr ~cycle (c : Timing.t) w =
   let d = c.Timing.deadline in
@@ -110,7 +111,8 @@ let check_witness errs tr ~cycle (c : Timing.t) w =
   | Timing.Periodic, Certificate.Periodic execs -> (
       match super_of cycle c with
       | None ->
-          err errs "%s: lcm(period, cycle) overflows; cannot certify" name
+          err errs "%s: lcm(period, cycle) overflows or exceeds %d; cannot certify"
+            name Trace.max_horizon
       | Some super ->
           let n_inv = super / c.Timing.period in
           if Array.length execs <> n_inv then
@@ -164,9 +166,11 @@ let check (m : Model.t) (cert : Certificate.t) =
       let cycle = Schedule.length cert.Certificate.schedule in
       (* Bound the horizon from the model before trusting any witness
          coordinate, so a corrupt certificate cannot make the checker
-         unroll an unbounded trace. *)
+         unroll an unbounded trace, nor one longer than any analysis
+         does. *)
       let cap =
-        List.fold_left
+        min Trace.max_horizon
+        @@ List.fold_left
           (fun acc (c : Timing.t) ->
             let reach =
               match c.Timing.kind with

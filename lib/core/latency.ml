@@ -202,6 +202,26 @@ let analysis_horizon g tg sched ~last_question =
   let w = Task_graph.computation_time g tg in
   last_question + ((w + Task_graph.size tg + 3) * cycle)
 
+(* A constraint whose horizon exceeds [Trace.max_horizon] gets no bound
+   ("unbounded"), as when lcm(period, cycle) overflows: its trace is
+   too long to enumerate. *)
+let async_horizon g tg sched =
+  let h =
+    analysis_horizon g tg sched ~last_question:(Schedule.length sched)
+  in
+  if h <= Trace.max_horizon then Some h else None
+
+(* Invocation phases of a periodic constraint repeat with
+   [super = lcm(period, cycle)]; [Some (super, horizon)] when that
+   horizon is enumerable. *)
+let periodic_horizon g sched (c : Timing.t) =
+  match Rt_graph.Intmath.lcm c.period (Schedule.length sched) with
+  | exception Rt_graph.Intmath.Overflow -> None
+  | super when super > Trace.max_horizon -> None
+  | super ->
+      let h = analysis_horizon g c.graph sched ~last_question:super in
+      if h <= Trace.max_horizon then Some (super, h) else None
+
 let elements_all_present g tg sched =
   List.for_all
     (fun e -> Comm_graph.weight g e > 0 && Schedule.occurrences sched e > 0)
@@ -315,13 +335,13 @@ let latency_argmax_ctx ctx ~cycle ~limit =
 
 let latency_argmax g sched tg =
   if not (elements_all_present g tg sched) then None
-  else begin
-    let cycle = Schedule.length sched in
-    let horizon = analysis_horizon g tg sched ~last_question:cycle in
-    let trace = Trace.of_schedule g sched ~horizon in
-    let ctx = make_ctx g tg trace in
-    latency_argmax_ctx ctx ~cycle ~limit:horizon
-  end
+  else
+    match async_horizon g tg sched with
+    | None -> None
+    | Some horizon ->
+        let trace = Trace.of_schedule g sched ~horizon in
+        let ctx = make_ctx g tg trace in
+        latency_argmax_ctx ctx ~cycle:(Schedule.length sched) ~limit:horizon
 
 let latency g sched tg = Option.map snd (latency_argmax g sched tg)
 
@@ -344,7 +364,11 @@ let meets_all_asynchronous g sched cs =
   || (* Presence is a property of the schedule alone — reject before
         paying for the trace unroll (the bypass probes many candidate
         schedules that fail exactly here). *)
-  List.for_all (fun (c : Timing.t) -> elements_all_present g c.graph sched) cs
+  List.for_all
+    (fun (c : Timing.t) ->
+      elements_all_present g c.graph sched
+      && async_horizon g c.graph sched <> None)
+    cs
   &&
   let cycle = Schedule.length sched in
   let horizon_of (c : Timing.t) =
@@ -447,15 +471,10 @@ let periodic_response_ctx ?memo ctx ~limit (c : Timing.t) ~super =
 
 let periodic_response g sched (c : Timing.t) =
   if not (elements_all_present g c.graph sched) then None
-  else begin
-    let cycle = Schedule.length sched in
-    match Rt_graph.Intmath.lcm c.period cycle with
-    | exception Rt_graph.Intmath.Overflow ->
-        (* Phase structure too large to enumerate: report "no bound
-           established" rather than crash. *)
-        None
-    | super ->
-        let horizon = analysis_horizon g c.graph sched ~last_question:super in
+  else
+    match periodic_horizon g sched c with
+    | None -> None
+    | Some (super, horizon) ->
         let trace = Trace.of_schedule g sched ~horizon in
         let ctx = make_ctx g c.graph trace in
         let memo =
@@ -466,7 +485,6 @@ let periodic_response g sched (c : Timing.t) =
           | None -> None
         in
         periodic_response_ctx ?memo ctx ~limit:horizon c ~super
-  end
 
 let meets_periodic g sched (c : Timing.t) =
   match periodic_response g sched c with
@@ -498,16 +516,14 @@ let verify_cached (m : Model.t) sched =
         if not (elements_all_present g c.graph sched) then `Unbounded c
         else
           match c.kind with
-          | Timing.Asynchronous ->
-              `Async (c, analysis_horizon g c.graph sched ~last_question:cycle)
+          | Timing.Asynchronous -> (
+              match async_horizon g c.graph sched with
+              | None -> `Unbounded c
+              | Some h -> `Async (c, h))
           | Timing.Periodic -> (
-              match Rt_graph.Intmath.lcm c.period cycle with
-              | exception Rt_graph.Intmath.Overflow -> `Unbounded c
-              | super ->
-                  `Periodic
-                    ( c,
-                      super,
-                      analysis_horizon g c.graph sched ~last_question:super )))
+              match periodic_horizon g sched c with
+              | None -> `Unbounded c
+              | Some (super, h) -> `Periodic (c, super, h)))
       m.constraints
   in
   let max_horizon =
@@ -559,7 +575,6 @@ let verify ?(cached = true) (m : Model.t) sched =
        the pre-cache engine, kept as an independent oracle for the
        property tests and the E14 baseline. *)
     let g = m.comm in
-    let cycle = Schedule.length sched in
     List.map
       (fun (c : Timing.t) ->
         let achieved =
@@ -568,12 +583,9 @@ let verify ?(cached = true) (m : Model.t) sched =
             match c.kind with
             | Timing.Asynchronous -> latency g sched c.graph
             | Timing.Periodic -> (
-                match Rt_graph.Intmath.lcm c.period cycle with
-                | exception Rt_graph.Intmath.Overflow -> None
-                | super ->
-                    let horizon =
-                      analysis_horizon g c.graph sched ~last_question:super
-                    in
+                match periodic_horizon g sched c with
+                | None -> None
+                | Some (super, horizon) ->
                     let trace = Trace.of_schedule g sched ~horizon in
                     let ctx = make_ctx g c.graph trace in
                     periodic_response_ctx ctx ~limit:horizon c ~super)

@@ -66,12 +66,21 @@ module Cache : sig
   (** Same answer as {!val:contains_execution} on the cache's trace. *)
 end
 
+val analysis_horizon :
+  Comm_graph.t -> Task_graph.t -> Schedule.t -> last_question:int -> int
+(** [analysis_horizon g tg l ~last_question] is a trace length that
+    holds the earliest execution of [tg] starting at or after any time
+    up to [last_question], for a well-formed [l] in which every element
+    of [tg] occurs: [(total weight + size + 3)] cycles past
+    [last_question]. *)
+
 val latency : Comm_graph.t -> Schedule.t -> Task_graph.t -> int option
 (** [latency g l c] is the least [k] such that the trace induced by [l]
     contains an execution of [c] in every window of length [k] —
     [Some k] — or [None] when no finite [k] works (some element of [c]
-    never runs, or runs without completing executions).  Requires a
-    schedule that passes [Schedule.validate]. *)
+    never runs, or runs without completing executions), or when the
+    analysis would unroll more than {!Trace.max_horizon} slots.
+    Requires a schedule that passes [Schedule.validate]. *)
 
 val worst_window : Comm_graph.t -> Schedule.t -> Task_graph.t -> (int * int) option
 (** [worst_window g l c] is a window [(t0, t1)] witnessing the latency:
@@ -101,8 +110,9 @@ val periodic_response : Comm_graph.t -> Schedule.t -> Timing.t -> int option
     [completion - t] where [completion] is the earliest finish of an
     execution of [c.graph] inside [\[t, ∞)].  [None] if some invocation
     never completes, or if [lcm p (length l)] overflows the native
-    integer range (the phase structure is then too large to
-    enumerate). *)
+    integer range or its analysis would unroll more than
+    {!Trace.max_horizon} slots (the phase structure is then too large
+    to enumerate). *)
 
 val meets_periodic : Comm_graph.t -> Schedule.t -> Timing.t -> bool
 (** [meets_periodic g l c] tests [periodic_response <= c.deadline]. *)

@@ -26,103 +26,9 @@ let default_config =
   }
 
 let requests_ctr = Rt_obs.Metrics.counter "daemon/requests"
-let overloaded_ctr = Rt_obs.Metrics.counter "daemon/overloaded"
-let shed_ctr = Rt_obs.Metrics.counter "daemon/shed"
-let oversize_ctr = Rt_obs.Metrics.counter "daemon/frame_oversize"
 let degraded_ctr = Rt_obs.Metrics.counter "daemon/degraded"
-let shed_depth_gauge = Rt_obs.Metrics.gauge "daemon/queue_depth"
 let request_us = Rt_obs.Metrics.histogram "daemon/request_us"
 let admit_us = Rt_obs.Metrics.histogram "daemon/admit_us"
-
-(* ------------------------------------------------------------------ *)
-(* Shared response shapes (stdin loop and socket transport).           *)
-(* ------------------------------------------------------------------ *)
-
-let overloaded_response cfg ~depth line =
-  Rt_obs.Metrics.incr overloaded_ctr;
-  Rt_obs.Metrics.incr shed_ctr;
-  Protocol.error
-    ~id:(Protocol.parse_request_id line)
-    ~kind:"overloaded"
-    ~retry_after_ms:(max 100 (depth * max 1 cfg.default_budget_ms))
-    (Printf.sprintf "queue full (%d pending)" depth)
-
-let oversize_response cfg dropped =
-  Rt_obs.Metrics.incr oversize_ctr;
-  Protocol.error ~id:"" ~kind:"oversize"
-    (Printf.sprintf "frame of %d bytes exceeds max-frame %d (dropped)" dropped
-       cfg.max_frame)
-
-let eof_mid_frame_response origin pending =
-  Protocol.error ~id:"" ~kind:"parse"
-    (Printf.sprintf "%s closed mid-frame (%d bytes discarded)" origin pending)
-
-(* ------------------------------------------------------------------ *)
-(* Input: drain everything already readable on stdin into whole frames
-   without blocking, so queue depth is observable before each serve.
-   Framing (and the max-frame limit) is shared with the socket
-   transport — see Framing.                                            *)
-(* ------------------------------------------------------------------ *)
-
-type input = {
-  fd : Unix.file_descr;
-  framer : Framing.t;
-  chunk : Bytes.t;
-  mutable eof : bool;
-}
-
-let make_input ~max_frame fd =
-  { fd; framer = Framing.create ~max_frame; chunk = Bytes.create 65536; eof = false }
-
-(* Read whatever is available right now (non-blocking). *)
-let drain input =
-  let events = ref [] in
-  let rec go () =
-    if input.eof then ()
-    else
-      match Unix.select [ input.fd ] [] [] 0.0 with
-      | [], _, _ -> ()
-      | _ -> (
-          match Unix.read input.fd input.chunk 0 (Bytes.length input.chunk) with
-          | 0 -> input.eof <- true
-          | n ->
-              events :=
-                !events @ Framing.feed input.framer (Bytes.sub_string input.chunk 0 n);
-              go ()
-          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-              ())
-  in
-  go ();
-  !events
-
-(* Block until at least one more event (or EOF). *)
-let wait_event input =
-  let rec go () =
-    if input.eof then []
-    else
-      match Unix.select [ input.fd ] [] [] (-1.0) with
-      | exception Unix.Unix_error (EINTR, _, _) -> go ()
-      | _ -> (
-          match Unix.read input.fd input.chunk 0 (Bytes.length input.chunk) with
-          | 0 ->
-              input.eof <- true;
-              []
-          | n -> (
-              match Framing.feed input.framer (Bytes.sub_string input.chunk 0 n) with
-              | [] -> go ()
-              | events -> events)
-          | exception Unix.Unix_error (EINTR, _, _) -> go ())
-  in
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Serving.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let respond line =
-  print_string line;
-  print_newline ();
-  flush stdout
 
 let mk_budget cfg (req : Protocol.request) =
   let ms = Option.value ~default:cfg.default_budget_ms req.budget_ms in
@@ -216,61 +122,65 @@ let stats_response engine ~id ~depth ~started =
       ("conn_request_us", Protocol.Raw (h "daemon/conn_request_us"));
     ]
 
+let dispatch cfg engine ~started ~depth ~t0 line =
+  match Protocol.parse line with
+  | Error (kind, msg) ->
+      `Continue (Protocol.error ~id:(Protocol.parse_request_id line) ~kind msg)
+  | Ok req -> (
+      let id = req.Protocol.id in
+      let level = level_for cfg depth in
+      if level <> Engine.Full then Rt_obs.Metrics.incr degraded_ctr;
+      match req.Protocol.op with
+      | Protocol.Admit decl ->
+          let budget = mk_budget cfg req in
+          let o = Engine.admit ?budget ~level engine decl in
+          Rt_obs.Metrics.observe admit_us
+            (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+          `Continue (outcome_response ~id ~level o)
+      | Protocol.What_if decl ->
+          let budget = mk_budget cfg req in
+          `Continue
+            (outcome_response ~id ~level
+               (Engine.what_if ?budget ~level engine decl))
+      | Protocol.Retire name ->
+          `Continue (outcome_response ~id ~level (Engine.retire engine name))
+      | Protocol.Reverify -> (
+          match Engine.reverify engine with
+          | Ok digest ->
+              `Continue (Protocol.ok ~id [ ("digest", Protocol.S digest) ])
+          | Error diags ->
+              `Continue
+                (Protocol.error ~id ~kind:"check-failed"
+                   (String.concat "; " diags)))
+      | Protocol.Stats -> `Continue (stats_response engine ~id ~depth ~started)
+      | Protocol.Snapshot -> (
+          match Engine.snapshot engine with
+          | Ok (spec, digest) ->
+              `Continue
+                (Protocol.ok ~id
+                   [ ("digest", Protocol.S digest); ("spec", Protocol.S spec) ])
+          | Error e -> `Continue (Protocol.error ~id ~kind:"internal" e))
+      | Protocol.Shutdown ->
+          `Stop (Protocol.ok ~id [ ("bye", Protocol.B true) ]))
+
 let serve_line cfg engine ~started ~depth line =
   Rt_obs.Metrics.incr requests_ctr;
   let t0 = Unix.gettimeofday () in
   let response =
-    match Protocol.parse line with
-    | Error (kind, msg) ->
-        `Continue (Protocol.error ~id:(Protocol.parse_request_id line) ~kind msg)
-    | Ok req -> (
-        let id = req.Protocol.id in
-        let level = level_for cfg depth in
-        if level <> Engine.Full then Rt_obs.Metrics.incr degraded_ctr;
-        match req.Protocol.op with
-        | Protocol.Admit decl ->
-            let budget = mk_budget cfg req in
-            let o =
-              Engine.admit ?budget ~level engine decl
-            in
-            Rt_obs.Metrics.observe admit_us
-              (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-            `Continue (outcome_response ~id ~level o)
-        | Protocol.What_if decl ->
-            let budget = mk_budget cfg req in
-            `Continue
-              (outcome_response ~id ~level
-                 (Engine.what_if ?budget ~level engine decl))
-        | Protocol.Retire name ->
-            `Continue (outcome_response ~id ~level (Engine.retire engine name))
-        | Protocol.Reverify -> (
-            match Engine.reverify engine with
-            | Ok digest ->
-                `Continue (Protocol.ok ~id [ ("digest", Protocol.S digest) ])
-            | Error diags ->
-                `Continue
-                  (Protocol.error ~id ~kind:"check-failed"
-                     (String.concat "; " diags)))
-        | Protocol.Stats -> `Continue (stats_response engine ~id ~depth ~started)
-        | Protocol.Snapshot -> (
-            match Engine.snapshot engine with
-            | Ok (spec, digest) ->
-                `Continue
-                  (Protocol.ok ~id
-                     [
-                       ("digest", Protocol.S digest); ("spec", Protocol.S spec);
-                     ])
-            | Error e -> `Continue (Protocol.error ~id ~kind:"internal" e))
-        | Protocol.Shutdown ->
-            `Stop (Protocol.ok ~id [ ("bye", Protocol.B true) ]))
+    (* The engine applies a mutation only after it is journaled, which
+       is the last step of an answer: a request that raises has touched
+       no resident state, so it is answered and the daemon serves on. *)
+    try dispatch cfg engine ~started ~depth ~t0 line
+    with e ->
+      `Continue
+        (Protocol.error
+           ~id:(Protocol.parse_request_id line)
+           ~kind:"internal"
+           ("uncaught exception: " ^ Printexc.to_string e))
   in
   Rt_obs.Metrics.observe request_us
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   response
-
-(* ------------------------------------------------------------------ *)
-(* Engine bring-up shared by the stdin loop and the socket transport.  *)
-(* ------------------------------------------------------------------ *)
 
 let create_engine cfg =
   let pool =
@@ -291,57 +201,3 @@ let create_engine cfg =
       Option.iter Rt_par.Pool.shutdown pool;
       Error e
   | Ok engine -> Ok (engine, pool)
-
-let run cfg =
-  (match Sys.os_type with
-  | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-  | _ -> ());
-  match create_engine cfg with
-  | Error e ->
-      prerr_endline ("rtsynd: " ^ e);
-      1
-  | Ok (engine, pool) ->
-      let started = Unix.gettimeofday () in
-      let input = make_input ~max_frame:cfg.max_frame Unix.stdin in
-      let pending = Queue.create () in
-      let stop = ref false in
-      let enqueue events =
-        List.iter
-          (fun ev ->
-            match ev with
-            | Framing.Oversized dropped ->
-                (* The frame was never a request: answer now, stay live. *)
-                respond (oversize_response cfg dropped)
-            | Framing.Line line ->
-                if String.trim line = "" then ()
-                else if Queue.length pending >= cfg.max_queue then
-                  (* Deterministic shedding: newest request beyond the cap
-                     bounces immediately; resident state and queue are
-                     untouched. *)
-                  respond
-                    (overloaded_response cfg ~depth:(Queue.length pending) line)
-                else Queue.add line pending)
-          events
-      in
-      while (not !stop) && not (Queue.is_empty pending && input.eof) do
-        enqueue (drain input);
-        if input.eof && Queue.is_empty pending then ()
-        else if Queue.is_empty pending then enqueue (wait_event input)
-        else begin
-          let line = Queue.pop pending in
-          let depth = Queue.length pending in
-          Rt_obs.Metrics.set shed_depth_gauge depth;
-          match serve_line cfg engine ~started ~depth line with
-          | `Continue r -> respond r
-          | `Stop r ->
-              respond r;
-              stop := true
-        end
-      done;
-      (if input.eof then
-         match Framing.finish input.framer with
-         | `Clean -> ()
-         | `Partial n -> respond (eof_mid_frame_response "stdin" n));
-      Engine.close engine;
-      Option.iter Rt_par.Pool.shutdown pool;
-      0

@@ -1,35 +1,31 @@
-(** The [rtsynd] request loop: stdin jsonl in, stdout jsonl out.
+(** The [rtsynd] serving core: one request line in, one response line
+    out, against the resident engine.
 
-    Robustness properties (see [docs/DAEMON.md]):
+    {!Transport.run} is the only request loop.  It serves stdin/stdout
+    as one connection, or many socket clients, and passes every request
+    through {!serve_line} one at a time, so mutations stay serialized
+    through the journal whatever the transport.  Robustness properties
+    owned here (see [docs/DAEMON.md]):
 
     - every request runs under a per-request {!Rt_core.Budget} (wall
       clock + fuel; defaults from the config, overridable per request)
       and a spent budget returns a structured ["timeout"] error instead
       of wedging the loop;
-    - pending input is drained into a bounded queue before each request
-      is served; past [max_queue] the newest requests are shed
-      immediately with an ["overloaded"] error carrying a
-      [retry_after_ms] hint — responses carry the request [id], and
-      their order is not guaranteed under overload;
-    - frames are split by {!Framing} under [max_frame]: an oversized
-      request line is dropped and answered with a structured
-      ["oversize"] error, and the stream resynchronizes at the next
-      newline (bounded memory, the daemon keeps serving);
     - queue depth drives the degradation ladder: beyond
       [degrade_heuristic] the exact game-engine rescue is dropped,
       beyond [degrade_analytic] admits are answered from the analytic
-      {!Rt_core.Admission} gap tests alone (and not committed).
+      {!Rt_core.Admission} gap tests alone (and not committed);
+    - a request that raises is answered with a structured ["internal"]
+      error; resident state is unchanged and serving goes on.
 
-    The concurrent socket transport ({!Transport}) reuses the pieces
-    exported below — one request at a time through {!serve_line}, so
-    mutations stay serialized through the journal no matter how many
-    clients are connected. *)
+    Queueing, shedding past [max_queue] and framing under [max_frame]
+    belong to the loop ({!Transport}). *)
 
 type config = {
   journal : string;
   spec : string option;  (** Base system source (fresh start only). *)
-  max_queue : int;
-  max_frame : int;  (** Per-frame byte limit (both transports). *)
+  max_queue : int;  (** Pending requests across all connections. *)
+  max_frame : int;  (** Per-frame byte limit. *)
   degrade_heuristic : int;  (** Queue depth at which exact rescue drops. *)
   degrade_analytic : int;  (** Queue depth for analytic-only answers. *)
   default_budget_ms : int;  (** 0 = unlimited. *)
@@ -38,16 +34,6 @@ type config = {
 }
 
 val default_config : config
-
-val run : config -> int
-(** Serve until stdin closes or a [shutdown] request arrives.  Returns
-    the process exit code: 0 on clean shutdown, 1 when startup fails
-    (corrupt journal, failed replay, infeasible base system). *)
-
-(** {1 Shared serving core}
-
-    Everything below is the single-writer serving core reused by the
-    socket transport; [run] is exactly this core driven from stdin. *)
 
 val create_engine :
   config -> (Engine.t * Rt_par.Pool.t option, string) result
@@ -65,15 +51,3 @@ val serve_line :
 (** Serve one raw request line against the engine at the given queue
     [depth] (which drives the degradation ladder) and render the
     response line.  [`Stop] is a [shutdown] acknowledgement. *)
-
-val overloaded_response : config -> depth:int -> string -> string
-(** Render the shed answer for a request bounced off a full queue
-    (increments [daemon/overloaded] and [daemon/shed]). *)
-
-val oversize_response : config -> int -> string
-(** Render the answer for a dropped oversized frame of the given byte
-    length (increments [daemon/frame_oversize]). *)
-
-val eof_mid_frame_response : string -> int -> string
-(** [eof_mid_frame_response origin pending] renders the structured
-    ["parse"] error for a stream that ended mid-frame. *)

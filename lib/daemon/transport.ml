@@ -27,13 +27,44 @@ let conn_active_gauge = Rt_obs.Metrics.gauge "daemon/conn_active"
 let conn_timeout_ctr = Rt_obs.Metrics.counter "daemon/conn_timeouts"
 let conn_request_us = Rt_obs.Metrics.histogram "daemon/conn_request_us"
 let depth_gauge = Rt_obs.Metrics.gauge "daemon/queue_depth"
+let overloaded_ctr = Rt_obs.Metrics.counter "daemon/overloaded"
+let shed_ctr = Rt_obs.Metrics.counter "daemon/shed"
+let oversize_ctr = Rt_obs.Metrics.counter "daemon/frame_oversize"
+
+(* ------------------------------------------------------------------ *)
+(* Answers the loop gives without consulting the engine.               *)
+(* ------------------------------------------------------------------ *)
+
+let overloaded_response (dcfg : Daemon.config) ~depth line =
+  Rt_obs.Metrics.incr overloaded_ctr;
+  Rt_obs.Metrics.incr shed_ctr;
+  Protocol.error
+    ~id:(Protocol.parse_request_id line)
+    ~kind:"overloaded"
+    ~retry_after_ms:(max 100 (depth * max 1 dcfg.default_budget_ms))
+    (Printf.sprintf "queue full (%d pending)" depth)
+
+let oversize_response (dcfg : Daemon.config) dropped =
+  Rt_obs.Metrics.incr oversize_ctr;
+  Protocol.error ~id:"" ~kind:"oversize"
+    (Printf.sprintf "frame of %d bytes exceeds max-frame %d (dropped)" dropped
+       dcfg.max_frame)
+
+let eof_mid_frame_response origin pending =
+  Protocol.error ~id:"" ~kind:"parse"
+    (Printf.sprintf "%s closed mid-frame (%d bytes discarded)" origin pending)
 
 (* ------------------------------------------------------------------ *)
 (* Connections.                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type conn = {
-  fd : Unix.file_descr;
+  fd : Unix.file_descr;  (* read side *)
+  out : Unix.file_descr;  (* write side: [fd] itself, or stdout *)
+  stdio : bool;
+      (* The stdin/stdout session: its descriptors are inherited, so
+         they stay blocking and open; only the global queue cap applies
+         to it, and no timeout closes it. *)
   framer : Framing.t;
   reqs : (string * float) Queue.t;  (* raw line, enqueue time *)
   outq : string Queue.t;  (* rendered responses awaiting write *)
@@ -45,9 +76,11 @@ type conn = {
   mutable dead : bool;
 }
 
-let make_conn ~max_frame fd now =
+let make_conn ?(stdio = false) ~max_frame ~out fd now =
   {
     fd;
+    out;
+    stdio;
     framer = Framing.create ~max_frame;
     reqs = Queue.create ();
     outq = Queue.create ();
@@ -64,15 +97,16 @@ let out_add c s =
   Queue.add line c.outq;
   c.out_bytes <- c.out_bytes + String.length line
 
-(* Write as much as the kernel will take right now.  [`Closed] means
-   the peer is gone (EPIPE/reset) and the connection must be reaped. *)
+(* Write as much as the kernel will take right now (all of it, on the
+   blocking stdout).  [`Closed] means the peer is gone (EPIPE/reset)
+   and the connection must be reaped. *)
 let flush_out c =
   try
     let blocked = ref false in
     while (not !blocked) && not (Queue.is_empty c.outq) do
       let s = Queue.peek c.outq in
       let len = String.length s - c.sent in
-      let n = Unix.write_substring c.fd s c.sent len in
+      let n = Unix.write_substring c.out s c.sent len in
       c.out_bytes <- c.out_bytes - n;
       if n = len then begin
         ignore (Queue.pop c.outq);
@@ -132,19 +166,15 @@ let run tcfg dcfg =
   | "Unix" -> Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   | _ -> ());
   let listeners_r =
-    match (tcfg.socket, tcfg.tcp) with
-    | None, None -> Error "socket transport needs a --socket path or --tcp port"
-    | s, t -> (
-        let acc = Ok [] in
-        let add acc mk =
-          match acc with
-          | Error _ -> acc
-          | Ok fds -> ( match mk () with Ok fd -> Ok (fd :: fds) | Error e -> Error e)
-        in
-        let acc =
-          match s with None -> acc | Some p -> add acc (fun () -> listen_unix p)
-        in
-        match t with None -> acc | Some p -> add acc (fun () -> listen_tcp p))
+    let add acc mk =
+      Result.bind acc (fun fds -> Result.map (fun fd -> fd :: fds) (mk ()))
+    in
+    let acc =
+      match tcfg.socket with
+      | None -> Ok []
+      | Some p -> add (Ok []) (fun () -> listen_unix p)
+    in
+    match tcfg.tcp with None -> acc | Some p -> add acc (fun () -> listen_tcp p)
   in
   match listeners_r with
   | Error e ->
@@ -172,6 +202,15 @@ let run tcfg dcfg =
           let listening = ref true in
           let chunk = Bytes.create 65536 in
           let all_conns () = Hashtbl.fold (fun _ c acc -> c :: acc) conns [] in
+          let open_conn ?stdio ~out fd now =
+            let c =
+              make_conn ?stdio ~max_frame:dcfg.Daemon.max_frame ~out fd now
+            in
+            Hashtbl.replace conns fd c;
+            Queue.add c rr;
+            Rt_obs.Metrics.incr conn_opened_ctr;
+            Rt_obs.Metrics.set conn_active_gauge (Hashtbl.length conns)
+          in
           let close_conn ?(timeout = false) c =
             if not c.dead then begin
               c.dead <- true;
@@ -180,11 +219,14 @@ let run tcfg dcfg =
               total_pending := !total_pending - Queue.length c.reqs;
               Queue.clear c.reqs;
               Hashtbl.remove conns c.fd;
-              (try Unix.close c.fd with _ -> ());
+              if not c.stdio then (try Unix.close c.fd with _ -> ());
               Rt_obs.Metrics.incr conn_closed_ctr;
               if timeout then Rt_obs.Metrics.incr conn_timeout_ctr;
               Rt_obs.Metrics.set conn_active_gauge (Hashtbl.length conns)
             end
+          in
+          let flush_conn c =
+            match flush_out c with `Ok -> () | `Closed -> close_conn c
           in
           let accept_on lfd now =
             let continue = ref true in
@@ -194,11 +236,7 @@ let run tcfg dcfg =
                   Unix.set_nonblock cfd;
                   (try Unix.setsockopt cfd Unix.TCP_NODELAY true
                    with Unix.Unix_error _ -> ());
-                  let c = make_conn ~max_frame:dcfg.Daemon.max_frame cfd now in
-                  Hashtbl.replace conns cfd c;
-                  Queue.add c rr;
-                  Rt_obs.Metrics.incr conn_opened_ctr;
-                  Rt_obs.Metrics.set conn_active_gauge (Hashtbl.length conns)
+                  open_conn ~out:cfd cfd now
               | exception
                   Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
                   continue := false
@@ -208,51 +246,50 @@ let run tcfg dcfg =
           let enqueue c now ev =
             match ev with
             | Framing.Oversized dropped ->
-                out_add c (Daemon.oversize_response dcfg dropped)
+                out_add c (oversize_response dcfg dropped)
             | Framing.Line line ->
                 if String.trim line = "" then ()
                 else if
-                  Queue.length c.reqs >= tcfg.conn_queue
+                  ((not c.stdio) && Queue.length c.reqs >= tcfg.conn_queue)
                   || !total_pending >= dcfg.Daemon.max_queue
                 then
                   (* Backpressure: bounce the newest request now, with a
                      retry hint, rather than queueing without bound. *)
-                  out_add c
-                    (Daemon.overloaded_response dcfg ~depth:!total_pending line)
+                  out_add c (overloaded_response dcfg ~depth:!total_pending line)
                 else begin
                   Queue.add (line, now) c.reqs;
                   incr total_pending
                 end
           in
+          (* One read per readiness: [select] said it will not block,
+             and a second read on the blocking stdin could. *)
           let read_conn c now =
-            let continue = ref true in
-            while !continue && not c.eof do
-              match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-              | 0 ->
-                  c.eof <- true;
-                  c.last_read <- now;
-                  (match Framing.finish c.framer with
-                  | `Clean -> ()
-                  | `Partial n ->
-                      out_add c (Daemon.eof_mid_frame_response "connection" n))
-              | n ->
-                  c.last_read <- now;
-                  List.iter (enqueue c now)
-                    (Framing.feed c.framer (Bytes.sub_string chunk 0 n));
-                  c.partial_since <-
-                    (if Framing.pending c.framer = 0 then -1.
-                     else if c.partial_since < 0. then now
-                     else c.partial_since);
-                  if n < Bytes.length chunk then continue := false
-              | exception
-                  Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-                  continue := false
-              | exception Unix.Unix_error (_, _, _) ->
-                  (* Hard error: the peer is gone; queued requests were
-                     never acknowledged and are dropped with it. *)
-                  close_conn c;
-                  continue := false
-            done
+            match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+            | 0 -> (
+                c.eof <- true;
+                c.last_read <- now;
+                match Framing.finish c.framer with
+                | `Clean -> ()
+                | `Partial n ->
+                    out_add c
+                      (eof_mid_frame_response
+                         (if c.stdio then "stdin" else "connection")
+                         n))
+            | n ->
+                c.last_read <- now;
+                List.iter (enqueue c now)
+                  (Framing.feed c.framer (Bytes.sub_string chunk 0 n));
+                c.partial_since <-
+                  (if Framing.pending c.framer = 0 then -1.
+                   else if c.partial_since < 0. then now
+                   else c.partial_since)
+            | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
+              ->
+                ()
+            | exception Unix.Unix_error (_, _, _) ->
+                (* Hard error: the peer is gone; queued requests were
+                   never acknowledged and are dropped with it. *)
+                close_conn c
           in
           (* Round-robin fairness: rotate the ring, serve the first
              connection holding a queued request. *)
@@ -271,7 +308,7 @@ let run tcfg dcfg =
           in
           let serve_one () =
             match pick_next () with
-            | None -> false
+            | None -> ()
             | Some c ->
                 let line, enq_t = Queue.pop c.reqs in
                 decr total_pending;
@@ -292,15 +329,12 @@ let run tcfg dcfg =
                     end);
                 Rt_obs.Metrics.observe conn_request_us
                   (int_of_float ((Unix.gettimeofday () -. enq_t) *. 1e6));
-                (match flush_out c with
-                | `Ok -> ()
-                | `Closed -> close_conn c);
-                true
+                flush_conn c
           in
           let check_timeouts now =
             List.iter
               (fun c ->
-                if not c.dead then begin
+                if not (c.dead || c.stdio) then begin
                   if
                     tcfg.read_timeout_s > 0. && c.partial_since >= 0.
                     && now -. c.partial_since > tcfg.read_timeout_s
@@ -327,6 +361,10 @@ let run tcfg dcfg =
                 end)
               (all_conns ())
           in
+          (* With no listener, stdin/stdout is the one connection, and
+             the loop ends when it closes. *)
+          let stdio = listeners = [] in
+          if stdio then open_conn ~stdio ~out:Unix.stdout Unix.stdin started;
           let last_timeout_check = ref 0. in
           let running = ref true in
           while !running do
@@ -335,7 +373,10 @@ let run tcfg dcfg =
               Hashtbl.fold (fun _ c acc -> acc && Queue.is_empty c.outq) conns
                 true
             in
-            if !draining && ((!total_pending = 0 && flushed) || now > !drain_deadline)
+            if
+              (!draining
+              && ((!total_pending = 0 && flushed) || now > !drain_deadline))
+              || (stdio && Hashtbl.length conns = 0)
             then running := false
             else begin
               let reads =
@@ -351,9 +392,9 @@ let run tcfg dcfg =
               in
               let writes =
                 Hashtbl.fold
-                  (fun fd c acc ->
+                  (fun _ c acc ->
                     if (not c.dead) && not (Queue.is_empty c.outq) then
-                      fd :: acc
+                      c.out :: acc
                     else acc)
                   conns []
               in
@@ -377,16 +418,11 @@ let run tcfg dcfg =
                     | Some c -> read_conn c now
                     | None -> ())
                 rd;
-              ignore (serve_one () : bool);
-              List.iter
-                (fun fd ->
-                  match Hashtbl.find_opt conns fd with
-                  | Some c -> (
-                      match flush_out c with
-                      | `Ok -> ()
-                      | `Closed -> close_conn c)
-                  | None -> ())
-                wr;
+              serve_one ();
+              if wr <> [] then
+                List.iter
+                  (fun c -> if List.mem c.out wr then flush_conn c)
+                  (all_conns ());
               (* A half-closed connection is done once its queue is
                  served and its answers are on the wire. *)
               List.iter

@@ -1,13 +1,15 @@
-(** Concurrent socket transport for [rtsynd].
+(** The [rtsynd] request loop: one [Unix.select] event loop for every
+    transport.
 
-    A Unix-domain (and optionally loopback-TCP) listener accepts many
-    clients at once; each connection speaks the same newline-delimited
-    jsonl protocol as the stdin transport ({!Protocol}), framed per
+    With [socket] and/or [tcp] set, Unix-domain and loopback-TCP
+    listeners accept many clients at once; with neither, stdin/stdout
+    is served as the loop's one connection.  Every connection speaks
+    the newline-delimited jsonl protocol ({!Protocol}), framed per
     connection by {!Framing}.  Reads, parsing and response writes fan
-    out across connections in one event loop, while every state
-    mutation still flows one request at a time through
-    {!Daemon.serve_line} — the single-writer journal/crash-safety story
-    is untouched by concurrency.
+    out across connections, while every state mutation still flows one
+    request at a time through {!Daemon.serve_line} — the
+    single-writer journal/crash-safety story is untouched by
+    concurrency.
 
     Robustness (see [docs/DAEMON.md] for the full contract):
 
@@ -24,13 +26,19 @@
       idle past [idle_timeout_s], or holding a partial frame longer
       than [read_timeout_s], is closed ([daemon/conn_timeouts]);
     - {b graceful drain} — a [shutdown] request closes the listeners,
-      lets every already-queued request finish, flushes the response
-      buffers (bounded by [drain_timeout_s]), fsyncs the journal and
-      exits 0.
+      stops reading, lets every already-queued request finish, flushes
+      the response buffers (bounded by [drain_timeout_s]), fsyncs the
+      journal and exits 0.
+
+    The stdin connection keeps the stdin contract: only the global
+    [Daemon.max_queue] cap applies to it, no timeout or output cap
+    closes it, its inherited descriptors stay blocking (it is read once
+    per readiness), and EOF on stdin ends the loop once its queued
+    requests are answered and flushed.
 
     Per-connection responses preserve request order (the per-connection
-    queue is FIFO and responses are written in serve order); shed
-    answers are the only reordering, exactly as in stdin mode. *)
+    queue is FIFO and responses are written in serve order); shed,
+    oversize and EOF-mid-frame answers are the only reordering. *)
 
 type config = {
   socket : string option;  (** Unix-domain listener path. *)
@@ -44,13 +52,12 @@ type config = {
 }
 
 val default : config
-(** No listeners configured; [max_conns = 64], [conn_queue = 32],
+(** No listeners configured (serve stdin/stdout); [max_conns = 64], [conn_queue = 32],
     [idle_timeout_s = 300.], [read_timeout_s = 30.],
     [drain_timeout_s = 10.], [max_out_bytes = 8 MiB]. *)
 
 val run : config -> Daemon.config -> int
-(** Listen and serve until a [shutdown] request arrives.  At least one
-    of [socket]/[tcp] must be set.  Returns the process exit code: 0 on
-    clean (drained) shutdown, 1 when startup fails — corrupt journal,
-    failed replay, infeasible base system, or a listener that cannot
-    bind. *)
+(** Serve until a [shutdown] request has drained, or, with no listener
+    configured, until stdin closes.  Returns the process exit code: 0
+    on clean shutdown, 1 when startup fails — corrupt journal, failed
+    replay, infeasible base system, or a listener that cannot bind. *)

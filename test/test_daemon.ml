@@ -341,6 +341,54 @@ let test_engine_huge_timing_rejected () =
         ];
       Engine.close eng
 
+(* A legal period or deadline whose analysis horizon is past
+   [Trace.max_horizon] is answered without unrolling its trace: a
+   periodic constraint of period 2^40 gets no bound and is rejected,
+   leaving the resident state as it was, and an asynchronous one of
+   deadline 2^40 is certified by windows clamped to the analysis
+   horizon.  Neither reaches the trusted core's veto. *)
+let test_engine_long_horizon () =
+  with_temp_journal @@ fun journal ->
+  let cfg =
+    { Daemon.default_config with Daemon.journal; spec = Some base_spec }
+  in
+  match Daemon.create_engine cfg with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok (eng, _) ->
+      let vetoes = Rt_obs.Metrics.counter "daemon/check_failures" in
+      let before = Rt_obs.Metrics.value vetoes in
+      let digest () = Rt_check.Certificate.digest_of_model (Engine.model eng) in
+      let digest0 = digest () in
+      (* The error kind of the answer, or "ok". *)
+      let answer decl =
+        match
+          Daemon.serve_line cfg eng ~started:0. ~depth:0
+            (Printf.sprintf {|{"v":1,"id":"x","op":"admit","decl":"%s"}|} decl)
+        with
+        | `Stop _ -> "stop"
+        | `Continue r -> (
+            let open Rt_obs.Json in
+            match Result.map (member "error") (parse r) with
+            | Ok None -> "ok"
+            | Ok (Some e) ->
+                Option.value ~default:"?" (Option.bind (member "kind" e) to_string)
+            | Error e -> e)
+      in
+      checks "period 2^40 rejected" "rejected"
+        (answer
+           (Printf.sprintf
+              "constraint lp periodic period %d deadline 10 { f_x; }"
+              Timing.max_time));
+      checks "resident digest unchanged" digest0 (digest ());
+      checks "deadline 2^40 admitted" "ok"
+        (answer
+           (Printf.sprintf
+              "constraint ld asynchronous separation 10 deadline %d { f_x; }"
+              Timing.max_time));
+      Alcotest.check Alcotest.int "check_failures unchanged" before
+        (Rt_obs.Metrics.value vetoes);
+      Engine.close eng
+
 (* The structural candidate (one declaration elaborated against the
    resident communication graph) against the reference it replaced:
    print the whole model, splice the declaration in before the last
@@ -826,6 +874,8 @@ let () =
             test_journal_compat;
           Alcotest.test_case "huge period or deadline is rejected" `Quick
             test_engine_huge_timing_rejected;
+          Alcotest.test_case "long horizons answered without unrolling"
+            `Quick test_engine_long_horizon;
         ] );
       ( "framing",
         [

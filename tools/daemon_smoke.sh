@@ -2,7 +2,8 @@
 # Crash-recovery, warm-memo and overload smoke for rtsynd (see
 # docs/DAEMON.md), over both transports.
 #
-# stdin sections (the original three phases):
+# stdin sections (stdin/stdout is one connection of the same event
+# loop that serves the socket sections):
 #
 #   1. stream a mutation batch, kill -9 the daemon mid-stream;
 #   2. restart on the same journal: replay must reach the digest the
@@ -11,7 +12,11 @@
 #      (asserted via the daemon/memo_hits counter in stats);
 #   3. a 10x burst against a tiny queue must shed with structured
 #      "overloaded" responses (never a wedge) and the process must
-#      still exit cleanly.
+#      still exit cleanly;
+#   4. an oversized frame is dropped with a structured error and the
+#      stream resynchronizes;
+#   5. stdin is never closed for idleness: under --idle-timeout-s 1, a
+#      request sent after 2.5 s of silence is still answered.
 #
 # socket sections (the daemon-soak CI gate):
 #
@@ -162,6 +167,18 @@ grep -q '"kind":"oversize"' "$DIR/out4" \
 grep -q '"id":"s3","ok":true' "$DIR/out4" \
   || fail "daemon stopped serving after an oversized frame"
 echo "daemon_smoke: phase 4 ok (oversize dropped, stream resynced)"
+
+# ------------------------------------------------------------------
+# Phase 5: the idle timeout closes socket connections, never stdin.
+# ------------------------------------------------------------------
+{
+  sleep 2.5
+  echo '{"v":1,"id":"s5","op":"stats"}'
+} | "$RTSYND" --spec "$DIR/base.spec" --journal "$J" --idle-timeout-s 1 \
+      > "$DIR/out5" || fail "daemon exited nonzero after an idle stdin"
+grep -q '"id":"s5","ok":true' "$DIR/out5" \
+  || fail "stdin was closed for idleness"
+echo "daemon_smoke: phase 5 ok (stdin held idle past --idle-timeout-s)"
 }
 
 socket_sections() {
