@@ -1,6 +1,8 @@
 type t = { comm : Comm_graph.t; constraints : Timing.t list }
 
-let validate ~comm ~constraints =
+(* One walk over the constraints: each task graph is checked against
+   [comm] once, and a valid set is built without a second pass. *)
+let create ~comm ~constraints =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let seen = Hashtbl.create 16 in
@@ -10,11 +12,8 @@ let validate ~comm ~constraints =
       Hashtbl.add seen c.name ();
       if Task_graph.size c.graph = 0 then
         err "constraint %s has an empty task graph" c.name;
-      (match Task_graph.compatible comm c.graph with
-      | Ok () -> ()
-      | Error msg -> err "constraint %s: %s" c.name msg);
-      (match Task_graph.compatible comm c.graph with
-      | Error _ -> ()
+      match Task_graph.compatible comm c.graph with
+      | Error msg -> err "constraint %s: %s" c.name msg
       | Ok () ->
           List.iter
             (fun e ->
@@ -24,13 +23,16 @@ let validate ~comm ~constraints =
                    would be instantaneous and unobservable)"
                   c.name
                   (Comm_graph.element comm e).Element.name)
-            (Task_graph.elements_used c.graph)))
+            (Task_graph.elements_used c.graph))
     constraints;
-  match !errs with [] -> Ok () | es -> Error (List.rev es)
+  match !errs with [] -> Ok { comm; constraints } | es -> Error (List.rev es)
+
+let validate ~comm ~constraints =
+  Result.map ignore (create ~comm ~constraints)
 
 let make ~comm ~constraints =
-  match validate ~comm ~constraints with
-  | Ok () -> { comm; constraints }
+  match create ~comm ~constraints with
+  | Ok t -> t
   | Error errs ->
       invalid_arg ("Model.make: " ^ String.concat "; " errs)
 

@@ -14,6 +14,12 @@ val make : comm:Comm_graph.t -> constraints:Timing.t list -> t
     [Invalid_argument] if validation fails; see {!validate} for the
     conditions. *)
 
+val create :
+  comm:Comm_graph.t -> constraints:Timing.t list -> (t, string list) result
+(** [create ~comm ~constraints] validates (see {!validate}) and builds
+    the model in one walk over the constraints; [Error] carries every
+    diagnostic, in {!validate}'s order. *)
+
 val validate :
   comm:Comm_graph.t -> constraints:Timing.t list -> (unit, string list) result
 (** Checks that every task graph is compatible with [comm] (the

@@ -24,7 +24,7 @@ let fnv1a s =
     s;
   Printf.sprintf "fnv1a:%016Lx" !h
 
-let digest_of_model (m : Model.t) =
+let compute_digest (m : Model.t) =
   let b = Buffer.create 256 in
   let g = m.Model.comm in
   Buffer.add_string b "G:";
@@ -55,6 +55,23 @@ let digest_of_model (m : Model.t) =
       Buffer.add_string b "];")
     m.Model.constraints;
   fnv1a (Buffer.contents b)
+
+(* One admit asks for the digest of the same model value several times
+   (certificate, checker, persist, journal record).  A [Model.t] is
+   immutable once built, so the last model's digest is remembered and
+   found again by physical equality; any other model is digested
+   afresh.  The entry is one immutable pair behind an [Atomic], so
+   callers on several domains see either entry whole, never a torn
+   one. *)
+let last_digest : (Model.t * string) option Atomic.t = Atomic.make None
+
+let digest_of_model (m : Model.t) =
+  match Atomic.get last_digest with
+  | Some (m', d) when m' == m -> d
+  | _ ->
+      let d = compute_digest m in
+      Atomic.set last_digest (Some (m, d));
+      d
 
 let make m schedule witnesses =
   { digest = digest_of_model m; schedule; witnesses }

@@ -46,7 +46,10 @@ type t = {
 val digest_of_model : Model.t -> string
 (** A digest of the model's canonical rendering (elements, edges,
     constraints); certificates are only meaningful against the model
-    they were computed for, and the checker rejects a mismatch. *)
+    they were computed for, and the checker rejects a mismatch.  The
+    digest of the model value last asked for is remembered (one entry,
+    compared by physical equality, safe across domains), so asking
+    again for the same value costs no second rendering. *)
 
 val make : Model.t -> Schedule.t -> (string * witness) list -> t
 (** [make m l ws] stamps the certificate with [digest_of_model m]. *)

@@ -63,13 +63,12 @@ let synthesize_mode ~name ~threshold (m : Model.t) constraints ~dropped
   if constraints = [] then
     Error (Printf.sprintf "mode %s retains no constraint" name)
   else
-    match Model.validate ~comm:m.comm ~constraints with
+    match Model.create ~comm:m.comm ~constraints with
     | Error errs ->
         Error
           (Printf.sprintf "mode %s is invalid: %s" name
              (String.concat "; " errs))
-    | Ok () -> (
-        let model = Model.make ~comm:m.comm ~constraints in
+    | Ok model -> (
         (* Merging renames constraints and pipelining rewrites the
            communication graph; both would break the identity of
            elements and constraints that fault plans, criticality

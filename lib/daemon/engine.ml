@@ -99,7 +99,7 @@ let is_resident t name =
 
 (* The candidate model of an admit: the resident model plus the
    declaration elaborated against the resident communication graph.
-   Returns the declared constraint's name with it. *)
+   Returns the declared constraint (the candidate's last) with it. *)
 let candidate t decl =
   match Rt_spec.Parser.parse_declaration decl with
   | Error e -> Error [ e ]
@@ -108,8 +108,9 @@ let candidate t decl =
       if is_resident t name then
         Error [ Printf.sprintf "constraint %S is already resident" name ]
       else
+        let appended_at = List.length t.model.Model.constraints in
         Result.map
-          (fun m' -> (name, m'))
+          (fun (m' : Model.t) -> (List.nth m'.Model.constraints appended_at, m'))
           (Rt_spec.Elaborate.add_constraint t.model c)
 
 (* The model with [name] retired, its schedule and certificate digest.
@@ -135,20 +136,22 @@ let retired t name =
             | Error diags -> Error (`Check_failed diags)
             | Ok cert_digest -> Ok (m', Some sched, cert_digest)))
 
-(* Apply a certified state and seed the answer cache with it. *)
-let commit t m' sched cert =
+(* Apply a certified state and seed the answer cache with it.  [key]
+   is [Canon.of_model m'] when the caller has already computed it. *)
+let commit ?key t m' sched cert =
   t.model <- m';
   t.schedule <- sched;
   t.cert <- cert;
-  Option.iter (cache_store t (Canon.of_model m')) sched
+  let key = match key with Some k -> k | None -> Canon.of_model m' in
+  Option.iter (cache_store t key) sched
 
 (* Write-ahead: the record is fsynced before the state is applied. *)
-let journal_commit t record m' sched cert =
+let journal_commit ?key t record m' sched cert =
   match Journal.append t.journal record with
   | Error e -> Error e
   | Ok () ->
       Rt_obs.Metrics.incr journal_records;
-      commit t m' sched cert;
+      commit ?key t m' sched cert;
       Ok ()
 
 let verdict_string = function
@@ -270,15 +273,29 @@ let solve ?budget ~level t (m' : Model.t) =
           | None ->
               Error (`Rejected [ Format.asprintf "%a" Synthesis.pp_error err ])))
 
-(* Find a certified schedule for candidate model [m'].  Returns
-   (schedule, path) or a diagnosable failure.  Never mutates the
-   resident certified state ([t.model]/[t.schedule]/[t.cert]); the
-   game-table and answer caches may grow. *)
-let find_schedule ?budget ~level t (m' : Model.t) =
+(* Find a certified schedule for candidate model [m'], the resident
+   model plus the declared constraint [added]; [key] is
+   [Canon.of_model m'].  Returns (schedule, path) or a diagnosable
+   failure.  Never mutates the resident certified state
+   ([t.model]/[t.schedule]/[t.cert]); the game-table and answer caches
+   may grow.
+
+   The warm rung asks only whether the resident schedule meets
+   [added]: that schedule verifies every resident constraint (every
+   commit, replayed record and fresh start puts a checked schedule in
+   place, and a retire only drops constraints), and a constraint's
+   verdict depends on the schedule and its own task graph alone, so
+   the other verdicts of a whole-model verify are known to hold.  The
+   memo rung's cached schedule carries no such guarantee and is
+   verified against the whole candidate. *)
+let find_schedule ?budget ~level t ~key ~(added : Timing.t) (m' : Model.t) =
   let memo_hit =
-    match Hashtbl.find_opt t.cache (Canon.of_model m') with
+    match Hashtbl.find_opt t.cache key with
     | Some sched when verifies m' sched -> Some sched
     | _ -> None
+  in
+  let meets_added sched =
+    verifies (Model.make ~comm:m'.Model.comm ~constraints:[ added ]) sched
   in
   match memo_hit with
   | Some sched ->
@@ -287,7 +304,7 @@ let find_schedule ?budget ~level t (m' : Model.t) =
   | None -> (
       Rt_obs.Metrics.incr memo_misses;
       match t.schedule with
-      | Some sched when verifies m' sched ->
+      | Some sched when meets_added sched ->
           Rt_obs.Metrics.incr warm_hits;
           Ok (sched, "warm")
       | _ -> Result.map (fun s -> (s, "synth")) (solve ?budget ~level t m'))
@@ -295,7 +312,7 @@ let find_schedule ?budget ~level t (m' : Model.t) =
 let admit_or_probe ?budget ~level ~commit t decl =
   match candidate t decl with
   | Error e -> Rejected e
-  | Ok (name, m') -> (
+  | Ok ((added : Timing.t), m') -> (
       let verdict = Admission.admit m' in
       match verdict with
       | Admission.Impossible cond -> Rejected [ "impossible: " ^ cond ]
@@ -304,7 +321,8 @@ let admit_or_probe ?budget ~level ~commit t decl =
              not touch resident state — it stays certified. *)
           Analytic_only { verdict = verdict_string verdict }
       | _ -> (
-          match find_schedule ?budget ~level t m' with
+          let key = Canon.of_model m' in
+          match find_schedule ?budget ~level t ~key ~added m' with
           | Error (`Timeout reason) ->
               Rt_obs.Metrics.incr timeouts;
               Timed_out reason
@@ -327,7 +345,7 @@ let admit_or_probe ?budget ~level ~commit t decl =
                     let record =
                       Journal.Admit
                         {
-                          name;
+                          name = added.Timing.name;
                           decl;
                           digest = digest_of m';
                           schedule =
@@ -336,7 +354,7 @@ let admit_or_probe ?budget ~level ~commit t decl =
                         }
                     in
                     match
-                      journal_commit t record m' (Some sched) cert_digest
+                      journal_commit ~key t record m' (Some sched) cert_digest
                     with
                     | Error e -> Journal_failed e
                     | Ok () ->

@@ -53,10 +53,9 @@ let scenario_for ?criticality ?derivation ~msg_cost ~arq_slack
                    already failed as the full model. *)
                 if kept = [] || (dropped = [] && stretched = []) then None
                 else
-                  match Model.validate ~comm:m.comm ~constraints:kept with
+                  match Model.create ~comm:m.comm ~constraints:kept with
                   | Error _ -> None
-                  | Ok () -> (
-                      let model = Model.make ~comm:m.comm ~constraints:kept in
+                  | Ok model -> (
                       match attempt model with
                       | Error _ -> None
                       | Ok result ->

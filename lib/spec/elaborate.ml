@@ -58,14 +58,9 @@ let constraint_decl comm (c : Ast.constraint_decl) =
   in
   match built with Some t -> Ok t | None -> Error (List.rev !errs)
 
-let validated ~comm ~constraints =
-  match Model.validate ~comm ~constraints with
-  | Error es -> Error es
-  | Ok () -> Ok (Model.make ~comm ~constraints)
-
 let add_constraint (m : Model.t) c =
   Result.bind (constraint_decl m.comm c) (fun t ->
-      validated ~comm:m.comm ~constraints:(m.constraints @ [ t ]))
+      Model.create ~comm:m.comm ~constraints:(m.constraints @ [ t ]))
 
 let elaborate (sys : Ast.system) =
   let errs = ref [] in
@@ -106,7 +101,7 @@ let elaborate (sys : Ast.system) =
           | _, None -> err "assert: unknown element %s" a.as_dst)
         sys.sy_asserts;
       if !errs <> [] then Error (List.rev !errs)
-      else validated ~comm ~constraints
+      else Model.create ~comm ~constraints
 
 let elaborate_exn sys =
   match elaborate sys with

@@ -22,6 +22,9 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '#'
 
 let is_digit c = c >= '0' && c <= '9'
 
+let is_identifier s =
+  s <> "" && is_ident_start s.[0] && String.for_all is_ident_char s
+
 (* A literal too large for the native int must be a diagnostic, not an
    uncaught [Failure]: spec files cross trust boundaries (certificates
    embed them, the daemon journal replays them). *)

@@ -24,5 +24,9 @@ val tokenize : string -> (token * position) list
     immediately followed by a digit lexes as a negative integer; any
     other ['-'] must begin ["->"]. *)
 
+val is_identifier : string -> bool
+(** [is_identifier s] holds when [s] lexes back as exactly one
+    {!IDENT} token. *)
+
 val token_to_string : token -> string
 (** For diagnostics. *)

@@ -108,6 +108,37 @@ let json_escape s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(* Whether printing [m] and elaborating the source again would give
+   back an equal model, decided without the round trip.  Elaboration
+   numbers each task graph's nodes by element name; a task graph keeps
+   its edges as a set, so once the node numbering agrees the edges
+   come back unchanged.  So it suffices that every task graph lists its
+   nodes in strictly increasing element-name order (which also rules
+   out an element occurring twice, which the printer refuses) and that
+   every element and constraint name lexes back as one identifier.
+   Timing parameters and the rest of the model are valid by
+   construction ([Timing.t] and [Model.t] are private to their
+   validating constructors), so they print and elaborate back as they
+   are. *)
+let elaboration_ordered (m : Model.t) =
+  let g = m.Model.comm in
+  let name e = (Comm_graph.element g e).Element.name in
+  let nodes_ordered tg =
+    let node_name v = name (Task_graph.element_of_node tg v) in
+    let rec from v =
+      v >= Task_graph.size tg
+      || (String.compare (node_name (v - 1)) (node_name v) < 0 && from (v + 1))
+    in
+    from 1
+  in
+  List.for_all
+    (fun (e : Element.t) -> Lexer.is_identifier e.Element.name)
+    (Comm_graph.elements g)
+  && List.for_all
+       (fun (c : Timing.t) ->
+         Lexer.is_identifier c.Timing.name && nodes_ordered c.Timing.graph)
+       m.Model.constraints
+
 (* Elaboration canonicalizes task graphs (nodes ordered alphabetically
    by element name, edges sorted), so a certificate built against a
    programmatic or rewritten model must be re-indexed onto the
@@ -115,72 +146,76 @@ let json_escape s =
    node numbering would no longer line up with the witness exec arrays
    and the digest would not round-trip.  Element ids are stable under
    print/elaborate (elements are printed in id order), so the schedule
-   needs no translation. *)
+   needs no translation.  A model already in that form (every model
+   built by [Elaborate], so every daemon model) is its own canonical
+   form and skips the round trip. *)
 let canonicalize m cert =
   if cert.Certificate.digest <> Certificate.digest_of_model m then
     invalid_arg
       "Persist.save_certificate_string: certificate does not bind to the model";
-  let src = Printer.print m in
-  match Elaborate.load src with
-  | Error errs ->
-      invalid_arg
-        ("Persist.save_certificate_string: model does not re-elaborate: "
-        ^ String.concat "; " errs)
-  | Ok m' ->
-      (* Index constraints by name once: one certificate carries a
-         witness per constraint, so a linear find here is quadratic in
-         the model size (felt at daemon scale, where every admission
-         persists a fresh certificate). *)
-      let index cs =
-        let tbl = Hashtbl.create (List.length cs) in
-        List.iter (fun (c : Timing.t) -> Hashtbl.replace tbl c.Timing.name c) cs;
-        tbl
-      in
-      let old_by_name = index m.Model.constraints in
-      let new_by_name = index m'.Model.constraints in
-      let remap_witness (name, w) =
-        match
-          (Hashtbl.find_opt old_by_name name, Hashtbl.find_opt new_by_name name)
-        with
-        | Some c_old, Some c_new
-          when Task_graph.size c_old.Timing.graph
-               = Task_graph.size c_new.Timing.graph ->
-            let old_elems = Task_graph.node_elements c_old.Timing.graph in
-            let node_of_elem e =
-              let n = Array.length old_elems in
-              let rec go i = if i >= n || old_elems.(i) = e then i else go (i + 1) in
-              go 0
-            in
-            (* perm.(new node) = old node carrying the same element
-               (unique: printable task graphs have no duplicate
-               occurrences). *)
-            let perm =
-              Array.map node_of_elem
-                (Task_graph.node_elements c_new.Timing.graph)
-            in
-            let n = Array.length perm in
-            let remap_exec (x : Certificate.exec) =
-              if Array.length x <> n then x
-              else Array.init n (fun i -> x.(perm.(i)))
-            in
-            let w' =
-              match w with
-              | Certificate.Async es -> Certificate.Async (List.map remap_exec es)
-              | Certificate.Periodic es ->
-                  Certificate.Periodic (Array.map remap_exec es)
-            in
-            (name, w')
-        | _ ->
-            (* Unknown constraint or size mismatch: keep verbatim; the
-               checker reports it. *)
-            (name, w)
-      in
-      ( m',
-        {
-          Certificate.digest = Certificate.digest_of_model m';
-          schedule = cert.Certificate.schedule;
-          witnesses = List.map remap_witness cert.Certificate.witnesses;
-        } )
+  if elaboration_ordered m then (m, cert)
+  else
+    let src = Printer.print m in
+    match Elaborate.load src with
+    | Error errs ->
+        invalid_arg
+          ("Persist.save_certificate_string: model does not re-elaborate: "
+          ^ String.concat "; " errs)
+    | Ok m' ->
+        (* Index constraints by name once: one certificate carries a
+           witness per constraint, so a linear find here is quadratic in
+           the model size (felt at daemon scale, where every admission
+           persists a fresh certificate). *)
+        let index cs =
+          let tbl = Hashtbl.create (List.length cs) in
+          List.iter (fun (c : Timing.t) -> Hashtbl.replace tbl c.Timing.name c) cs;
+          tbl
+        in
+        let old_by_name = index m.Model.constraints in
+        let new_by_name = index m'.Model.constraints in
+        let remap_witness (name, w) =
+          match
+            (Hashtbl.find_opt old_by_name name, Hashtbl.find_opt new_by_name name)
+          with
+          | Some c_old, Some c_new
+            when Task_graph.size c_old.Timing.graph
+                 = Task_graph.size c_new.Timing.graph ->
+              let old_elems = Task_graph.node_elements c_old.Timing.graph in
+              let node_of_elem e =
+                let n = Array.length old_elems in
+                let rec go i = if i >= n || old_elems.(i) = e then i else go (i + 1) in
+                go 0
+              in
+              (* perm.(new node) = old node carrying the same element
+                 (unique: printable task graphs have no duplicate
+                 occurrences). *)
+              let perm =
+                Array.map node_of_elem
+                  (Task_graph.node_elements c_new.Timing.graph)
+              in
+              let n = Array.length perm in
+              let remap_exec (x : Certificate.exec) =
+                if Array.length x <> n then x
+                else Array.init n (fun i -> x.(perm.(i)))
+              in
+              let w' =
+                match w with
+                | Certificate.Async es -> Certificate.Async (List.map remap_exec es)
+                | Certificate.Periodic es ->
+                    Certificate.Periodic (Array.map remap_exec es)
+              in
+              (name, w')
+          | _ ->
+              (* Unknown constraint or size mismatch: keep verbatim; the
+                 checker reports it. *)
+              (name, w)
+        in
+        ( m',
+          {
+            Certificate.digest = Certificate.digest_of_model m';
+            schedule = cert.Certificate.schedule;
+            witnesses = List.map remap_witness cert.Certificate.witnesses;
+          } )
 
 let save_certificate_string m cert =
   let m', cert' = canonicalize m cert in

@@ -56,7 +56,10 @@ val save_certificate_string : Rt_core.Model.t -> Rt_core.Certificate.t -> string
     so witness exec arrays are re-indexed onto the canonical node
     numbering and the digest is restamped — the reloaded pair then
     checks self-contained and further save/load round-trips are
-    identity.  Raises [Invalid_argument] if [m] is not expressible in
+    identity.  A model already in elaboration order, with every name a
+    spec-language identifier (every elaborated model), is written as it
+    is, without printing and re-elaborating it; the bytes are the same
+    either way.  Raises [Invalid_argument] if [m] is not expressible in
     the spec language or [cert] does not bind to [m]. *)
 
 val save_certificate_file :

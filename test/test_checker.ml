@@ -177,6 +177,192 @@ let test_certificate_persist_roundtrip () =
           checkb "canonical certificate is a fixed point" true
             (Certificate.equal cert' cert''))
 
+(* The reference [save_certificate_string] skips when it can: print the
+   model, elaborate the source again, re-index every witness onto the
+   elaborated node numbering, restamp the digest and render. *)
+let reference_save (m : Model.t) (cert : Certificate.t) =
+  let m' =
+    match Rt_spec.Elaborate.load (Rt_spec.Printer.print m) with
+    | Ok m' -> m'
+    | Error es -> Alcotest.failf "reference: %s" (String.concat "; " es)
+  in
+  let remap (name, w) =
+    let nodes mm = Task_graph.node_elements (Model.find mm name).Timing.graph in
+    let old_nodes = Array.to_list (nodes m) in
+    let index e =
+      let rec go i = function
+        | x :: _ when x = e -> i
+        | _ :: rest -> go (i + 1) rest
+        | [] -> Alcotest.failf "reference: element %d lost" e
+      in
+      go 0 old_nodes
+    in
+    let perm = Array.map index (nodes m') in
+    let exec (x : Certificate.exec) = Array.map (fun o -> x.(o)) perm in
+    match w with
+    | Certificate.Async es -> (name, Certificate.Async (List.map exec es))
+    | Certificate.Periodic es -> (name, Certificate.Periodic (Array.map exec es))
+  in
+  let cert' =
+    {
+      Certificate.digest = Certificate.digest_of_model m';
+      schedule = cert.Certificate.schedule;
+      witnesses = List.map remap cert.Certificate.witnesses;
+    }
+  in
+  let escaped =
+    String.concat ""
+      (List.map
+         (function
+           | '"' -> "\\\""
+           | '\\' -> "\\\\"
+           | '\n' -> "\\n"
+           | c -> String.make 1 c)
+         (List.of_seq (String.to_seq (Rt_spec.Printer.print m'))))
+  in
+  let base = Certificate.to_json cert' in
+  String.sub base 0 (String.rindex base '}') ^ ",\"model\":\"" ^ escaped ^ "\"}\n"
+
+(* A two-element chain declared against name order (node 0 is [b]),
+   which only the round trip can bring into elaboration order. *)
+let out_of_order_model () =
+  let comm =
+    Comm_graph.create
+      ~elements:[ ("a", 1, true); ("b", 1, true) ]
+      ~edges:[ ("b", "a") ]
+  in
+  let id = Comm_graph.id_of_name comm in
+  Model.make ~comm
+    ~constraints:
+      [
+        Timing.make ~name:"ba" ~graph:(Task_graph.of_chain [ id "b"; id "a" ])
+          ~period:8 ~deadline:8 ~kind:Timing.Asynchronous;
+      ]
+
+let test_persist_skip_differential () =
+  let prng = Rt_graph.Prng.create 1818 in
+  let skipped = ref 0 and fell_back = ref 0 in
+  let compare_one what (m : Model.t) =
+    match Synthesis.synthesize ~merge:false ~pipeline:false m with
+    | Error _ -> ()
+    | Ok p -> (
+        let m = p.Synthesis.model_used in
+        let cert = cert_of_plan p in
+        let got = Rt_spec.Persist.save_certificate_string m cert in
+        Alcotest.check Alcotest.string
+          (what ^ ": same bytes as the round trip")
+          (reference_save m cert) got;
+        match Rt_spec.Persist.load_certificate_string got with
+        | Error e -> Alcotest.failf "%s: reload failed: %s" what e
+        | Ok (_, saved) ->
+            (* Only a model the round trip changes gets a new digest. *)
+            if saved.Certificate.digest = cert.Certificate.digest then
+              incr skipped
+            else incr fell_back)
+  in
+  for i = 0 to 29 do
+    let raw =
+      match i mod 5 with
+      | 0 ->
+          Rt_workload.Model_gen.theorem3_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 4)
+            ~max_weight:2
+      | 1 ->
+          Rt_workload.Model_gen.single_op_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~max_weight:3 ~target_ratio_sum:0.7
+      | 2 ->
+          Rt_workload.Model_gen.shared_block_model prng
+            ~n_pairs:(1 + Rt_graph.Prng.int prng 2)
+            ~shared_weight:2 ~private_weight:1 ~period:16
+      | 3 ->
+          Rt_workload.Model_gen.dag_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 2)
+            ~utilization:0.5 ~periods:[ 10; 12; 20 ]
+      | _ ->
+          Rt_workload.Model_gen.unit_chain_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~n_elements:12 ~max_deadline:16
+    in
+    compare_one (Printf.sprintf "model %d" i) raw;
+    match Rt_spec.Elaborate.load (Rt_spec.Printer.print raw) with
+    | Ok m -> compare_one (Printf.sprintf "elaborated model %d" i) m
+    | Error es -> Alcotest.failf "model %d: %s" i (String.concat "; " es)
+  done;
+  compare_one "out-of-order chain" (out_of_order_model ());
+  compare_one "control system" example;
+  checkb "the identity path was taken" true (!skipped > 0);
+  checkb "the round trip was taken" true (!fell_back > 0)
+
+(* Names the lexer would not read back take the round trip and are
+   refused there, even when every task graph is in elaboration order. *)
+let test_persist_unreadable_names () =
+  let refused what elem cname =
+    let comm = Comm_graph.create ~elements:[ (elem, 1, true) ] ~edges:[] in
+    let m =
+      Model.make ~comm
+        ~constraints:
+          [
+            Timing.make ~name:cname ~graph:(Task_graph.singleton 0) ~period:4
+              ~deadline:4 ~kind:Timing.Periodic;
+          ]
+    in
+    let sched =
+      Schedule.of_array [| Schedule.Run 0; Schedule.Idle; Schedule.Idle |]
+    in
+    match Certify.schedule m sched with
+    | Error e -> Alcotest.failf "%s: certify failed: %s" what e
+    | Ok cert -> (
+        match Rt_spec.Persist.save_certificate_string m cert with
+        | _ -> Alcotest.failf "%s: saved a model that does not re-elaborate" what
+        | exception Invalid_argument msg ->
+            let needle = "does not re-elaborate" in
+            let n = String.length needle in
+            let rec has i =
+              i + n <= String.length msg
+              && (String.sub msg i n = needle || has (i + 1))
+            in
+            checkb (what ^ ": " ^ msg) true (has 0))
+  in
+  refused "element name with a space" "f x" "c";
+  refused "constraint name with a dash" "f_x" "c-1";
+  refused "name starting with a digit" "9f" "c"
+
+(* ------------------------------------------------------------------ *)
+(* The model digest cache                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [digest_of_model] remembers one model; alternating two models through
+   it, on one domain or two, must give what a fresh computation gives. *)
+let test_digest_cache () =
+  let m1 = example and m2 = Suite.tiny_two_ops in
+  let fresh (m : Model.t) =
+    Certificate.digest_of_model
+      (Model.make ~comm:m.Model.comm ~constraints:m.Model.constraints)
+  in
+  let d1 = fresh m1 and d2 = fresh m2 in
+  checkb "two models, two digests" true (d1 <> d2);
+  for _ = 1 to 20 do
+    Alcotest.check Alcotest.string "first model" d1
+      (Certificate.digest_of_model m1);
+    Alcotest.check Alcotest.string "first model again" d1
+      (Certificate.digest_of_model m1);
+    Alcotest.check Alcotest.string "second model" d2
+      (Certificate.digest_of_model m2)
+  done;
+  let alternate (a, da) (b, db) () =
+    let ok = ref true in
+    for _ = 1 to 2_000 do
+      if Certificate.digest_of_model a <> da then ok := false;
+      if Certificate.digest_of_model b <> db then ok := false
+    done;
+    !ok
+  in
+  let other = Domain.spawn (alternate (m1, d1) (m2, d2)) in
+  let here = alternate (m2, d2) (m1, d1) () in
+  checkb "this domain saw fresh digests" true here;
+  checkb "the other domain saw fresh digests" true (Domain.join other)
+
 (* ------------------------------------------------------------------ *)
 (* Multiprocessor and contingency certificates                         *)
 (* ------------------------------------------------------------------ *)
@@ -328,6 +514,12 @@ let () =
             test_checker_accepts_genuine;
           Alcotest.test_case "persist round-trip" `Quick
             test_certificate_persist_roundtrip;
+          Alcotest.test_case "persist skip = round trip" `Quick
+            test_persist_skip_differential;
+          Alcotest.test_case "persist refuses unreadable names" `Quick
+            test_persist_unreadable_names;
+          Alcotest.test_case "digest cache = fresh digest" `Quick
+            test_digest_cache;
           Alcotest.test_case "multiproc certificate" `Quick
             test_multiproc_certificate;
           Alcotest.test_case "contingency certificate" `Quick

@@ -510,6 +510,81 @@ let test_structural_candidate () =
   checkb "valid declarations were among the compared" true
     (!accepted * 4 > !compared)
 
+(* The warm rung's premise.  When the resident schedule verifies the
+   resident model, adding one constraint changes neither the schedule
+   nor the communication graph, and a constraint's verdict depends on
+   those and its own task graph only: the candidate verifies exactly
+   when the declared constraint alone does.  Deadlines are drawn at and
+   one below the bound the new constraint achieves, so both verdicts
+   occur. *)
+let test_warm_single_constraint () =
+  let drawn_ok = ref 0 and drawn_miss = ref 0 in
+  let verifies m sched = Latency.all_ok (Latency.verify m sched) in
+  let prop seed =
+    let prng = Rt_graph.Prng.create seed in
+    let generated =
+      match seed mod 4 with
+      | 0 ->
+          Rt_workload.Model_gen.single_op_model prng ~max_deadline:16
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~max_weight:3 ~target_ratio_sum:0.7
+      | 1 ->
+          Rt_workload.Model_gen.unit_chain_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~n_elements:6 ~max_deadline:12
+      | k -> random_model prng k
+    in
+    match Synthesis.synthesize ~merge:false ~pipeline:false generated with
+    | Error _ -> true (* no resident schedule to reuse *)
+    | Ok plan -> (
+        let m = plan.Synthesis.model_used and sched = plan.Synthesis.schedule in
+        if not (verifies m sched) then
+          QCheck.Test.fail_report "the resident schedule does not verify";
+        let g = m.Model.comm in
+        let e = Rt_graph.Prng.int prng (Comm_graph.n_elements g) in
+        let graph =
+          match Rt_graph.Digraph.succ (Comm_graph.graph g) e with
+          | v :: _ when Rt_graph.Prng.bool prng -> Task_graph.of_chain [ e; v ]
+          | _ -> Task_graph.singleton e
+        in
+        let kind =
+          if Rt_graph.Prng.bool prng then Timing.Periodic else Timing.Asynchronous
+        in
+        let period = Rt_graph.Prng.pick prng [ 6; 10; 16; 40 ] in
+        let offset =
+          if kind = Timing.Periodic then Rt_graph.Prng.int prng period else 0
+        in
+        let added deadline =
+          let c = Timing.make ~name:"warm_new" ~graph ~period ~deadline ~kind in
+          if offset = 0 then c else Timing.with_offset c offset
+        in
+        let alone c = Model.make ~comm:g ~constraints:[ c ] in
+        let loose = (8 * Schedule.length sched) + 8 in
+        let deadline =
+          match Latency.verify (alone (added loose)) sched with
+          | [ { Latency.achieved = Some k; _ } ] ->
+              max 1 (if Rt_graph.Prng.bool prng then k else k - 1)
+          | _ -> loose
+        in
+        let c = added deadline in
+        let single = verifies (alone c) sched in
+        let whole =
+          verifies
+            (Model.make ~comm:g ~constraints:(m.Model.constraints @ [ c ]))
+            sched
+        in
+        if single then incr drawn_ok else incr drawn_miss;
+        single = whole)
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~count:300 ~name:"warm verdict = whole-model verdict"
+       QCheck.(int_bound 1_000_000)
+       prop);
+  checkb "a resident schedule in at least a third of the draws" true
+    (3 * (!drawn_ok + !drawn_miss) >= 300);
+  checkb "some candidates verify" true (!drawn_ok > 0);
+  checkb "some candidates miss" true (!drawn_miss > 0)
+
 (* A journal written by the engine before admits were built structurally
    (init, a 3-element chain, a retire and an α-renamed re-admit) still
    replays, record digests and certificates included, to its recorded
@@ -872,6 +947,8 @@ let () =
             test_structural_candidate;
           Alcotest.test_case "old journal replays to its digest" `Quick
             test_journal_compat;
+          Alcotest.test_case "warm verdict = whole-model verdict" `Quick
+            test_warm_single_constraint;
           Alcotest.test_case "huge period or deadline is rejected" `Quick
             test_engine_huge_timing_rejected;
           Alcotest.test_case "long horizons answered without unrolling"

@@ -92,16 +92,18 @@ wait_for_sock() { # wait_for_sock PATH
 
 stdin_sections() {
 # ------------------------------------------------------------------
-# Phase 1: mutation batch, then kill -9 mid-stream.
+# Phase 1: mutation batch, then kill -9 mid-stream.  The daemon reads a
+# FIFO this shell holds open on fd 3, so only kill -9 ends it, and
+# `wait` has the daemon alone to wait for (no writer left sleeping).
 # ------------------------------------------------------------------
-{
-  echo '{"v":1,"id":"a1","op":"admit","decl":"constraint q1 asynchronous separation 10 deadline 6 { f_x; }"}'
-  echo '{"v":1,"id":"a2","op":"admit","decl":"constraint q2 asynchronous separation 12 deadline 8 { f_y; }"}'
-  sleep 0.5
-  echo '{"v":1,"id":"s1","op":"stats"}'
-  sleep 60   # keep stdin open so only kill -9 ends the daemon
-} | "$RTSYND" --spec "$DIR/base.spec" --journal "$J" > "$DIR/out1" &
+mkfifo "$DIR/in1"
+"$RTSYND" --spec "$DIR/base.spec" --journal "$J" < "$DIR/in1" > "$DIR/out1" &
 PID=$!
+exec 3> "$DIR/in1"
+echo '{"v":1,"id":"a1","op":"admit","decl":"constraint q1 asynchronous separation 10 deadline 6 { f_x; }"}' >&3
+echo '{"v":1,"id":"a2","op":"admit","decl":"constraint q2 asynchronous separation 12 deadline 8 { f_y; }"}' >&3
+sleep 0.5
+echo '{"v":1,"id":"s1","op":"stats"}' >&3
 
 wait_for "$DIR/out1" '"id":"s1"' 1
 grep -q '"id":"a1","ok":true' "$DIR/out1" || fail "admit a1 not acknowledged"
@@ -111,6 +113,7 @@ DIGEST=$(grep '"id":"s1"' "$DIR/out1" | grep -o '"digest":"[^"]*"' | head -1)
 
 kill -9 "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
+exec 3>&-
 echo "daemon_smoke: phase 1 ok (killed -9 holding $DIGEST)"
 
 # ------------------------------------------------------------------
