@@ -1,6 +1,28 @@
 module Digraph = Rt_graph.Digraph
 
-type t = { node_elems : int array; graph : Digraph.t }
+type t = { node_elems : int array; graph : Digraph.t; signature : string }
+
+(* Nodes as declared, then the edge set (Digraph.edges is sorted). *)
+let render node_elems graph =
+  let b = Buffer.create 32 in
+  let add_int = Rt_graph.Intmath.add_decimal b in
+  Array.iteri
+    (fun v e ->
+      if v > 0 then Buffer.add_char b ',';
+      add_int e)
+    node_elems;
+  Buffer.add_char b '/';
+  List.iter
+    (fun (u, v) ->
+      add_int u;
+      Buffer.add_char b '>';
+      add_int v;
+      Buffer.add_char b ';')
+    (Digraph.edges graph);
+  Buffer.contents b
+
+let make node_elems graph =
+  { node_elems; graph; signature = render node_elems graph }
 
 let create ~nodes ~edges =
   let n = Array.length nodes in
@@ -10,7 +32,7 @@ let create ~nodes ~edges =
   let graph = Digraph.create ~n ~edges in
   if not (Digraph.is_acyclic graph) then
     invalid_arg "Task_graph.create: precedence relation is cyclic";
-  { node_elems = Array.copy nodes; graph }
+  make (Array.copy nodes) graph
 
 let of_chain elems =
   let nodes = Array.of_list elems in
@@ -29,6 +51,8 @@ let element_of_node t v =
 let node_elements t = Array.copy t.node_elems
 
 let graph t = t.graph
+
+let signature t = t.signature
 
 let edges t = Digraph.edges t.graph
 
@@ -83,8 +107,7 @@ let is_chain t = Digraph.is_chain t.graph
 
 let straight_line t = List.map (fun v -> t.node_elems.(v)) (topological_order t)
 
-let map_elements t ~f =
-  { t with node_elems = Array.map f t.node_elems }
+let map_elements t ~f = make (Array.map f t.node_elems) t.graph
 
 let disjoint_union a b =
   let na = size a and nb = size b in

@@ -41,6 +41,14 @@ val graph : t -> Rt_graph.Digraph.t
 val edges : t -> (int * int) list
 (** Precedence edges over task-graph node ids. *)
 
+val signature : t -> string
+(** A rendering of the graph over global element ids, computed once
+    when the graph is built: the node-to-element mapping in node order,
+    then the sorted edge set ([1,2/0>1;]).  Equal signatures mean equal
+    graphs, with the same topological order and predecessor lists, so
+    every analysis of one against a fixed schedule answers the same for
+    the other. *)
+
 val topological_order : t -> int list
 (** A deterministic linearization of the precedence relation. *)
 

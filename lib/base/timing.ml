@@ -7,7 +7,24 @@ type t = {
   deadline : int;
   offset : int;
   kind : kind;
+  signature : string;
 }
+
+(* Name-free: kind, period, offset, task graph, deadline, as
+   "%c%d@%d:%s,d=%d" would render them (Printf costs several times
+   more, once per constraint of every elaborated model). *)
+let signature_of ~kind ~period ~offset ~deadline graph =
+  let b = Buffer.create 48 in
+  let add_int = Rt_graph.Intmath.add_decimal b in
+  Buffer.add_char b (match kind with Periodic -> 'p' | Asynchronous -> 'a');
+  add_int period;
+  Buffer.add_char b '@';
+  add_int offset;
+  Buffer.add_char b ':';
+  Buffer.add_string b (Task_graph.signature graph);
+  Buffer.add_string b ",d=";
+  add_int deadline;
+  Buffer.contents b
 
 let max_time = 1 lsl 40
 
@@ -19,14 +36,36 @@ let make ~name ~graph ~period ~deadline ~kind =
     invalid_arg
       (Printf.sprintf "Timing.make: period and deadline must not exceed %d"
          max_time);
-  { name; graph; period; deadline; offset = 0; kind }
+  {
+    name;
+    graph;
+    period;
+    deadline;
+    offset = 0;
+    kind;
+    signature = signature_of ~kind ~period ~offset:0 ~deadline graph;
+  }
 
 let with_offset t o =
   if t.kind = Asynchronous then
     invalid_arg "Timing.with_offset: offsets apply to periodic constraints"
   else if o < 0 || o >= t.period then
     invalid_arg "Timing.with_offset: offset must lie in [0, period)"
-  else { t with offset = o }
+  else
+    {
+      t with
+      offset = o;
+      signature =
+        signature_of ~kind:t.kind ~period:t.period ~offset:o
+          ~deadline:t.deadline t.graph;
+    }
+
+type class_key = kind * int * int * string
+
+let latency_class t =
+  match t.kind with
+  | Asynchronous -> (Asynchronous, 0, 0, Task_graph.signature t.graph)
+  | Periodic -> (Periodic, t.period, t.offset, Task_graph.signature t.graph)
 
 let is_periodic t = t.kind = Periodic
 

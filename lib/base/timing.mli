@@ -27,6 +27,13 @@ type t = private {
           it (their invocation instants are the environment's choice).
           [0 <= offset < period]. *)
   kind : kind;
+  signature : string;
+      (** Name-free signature, computed once by {!make} and
+          {!with_offset}: kind, period, offset, the task graph's
+          {!Task_graph.signature} and the deadline
+          ([a1024@0:3/,d=512]).  Two constraints over one
+          communication graph with equal signatures demand the same
+          executions in the same windows. *)
 }
 
 val max_time : int
@@ -51,6 +58,18 @@ val with_offset : t -> int -> t
 (** [with_offset c o] is [c] released with phase [o].  Raises
     [Invalid_argument] unless [0 <= o < period] (or the constraint is
     asynchronous, for which offsets are meaningless). *)
+
+type class_key = kind * int * int * string
+(** Kind, period, offset and task-graph signature. *)
+
+val latency_class : t -> class_key
+(** What a constraint's achieved bound under a fixed schedule depends
+    on: the kind and task graph, plus the period and offset of a
+    periodic constraint (an asynchronous constraint's latency ignores
+    its separation, and its key carries [0] for both).  Neither the name
+    nor the deadline is part of it, so constraints of one class share
+    one achieved latency or worst response, and with equal deadlines
+    one window witness. *)
 
 val is_periodic : t -> bool
 (** [is_periodic c] is [true] for members of [T_p]. *)

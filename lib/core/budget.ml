@@ -44,4 +44,11 @@ let spend b n =
             if Unix.gettimeofday () <= dl then true
             else trip b "wall-clock budget exhausted")
 
+let check b =
+  match (Atomic.get b.reason, b.deadline) with
+  | Some _, _ -> false
+  | None, Some dl when Unix.gettimeofday () > dl ->
+      trip b "wall-clock budget exhausted"
+  | None, _ -> true
+
 let wall_elapsed b = Unix.gettimeofday () -. b.started

@@ -26,6 +26,11 @@ val spend : t -> int -> bool
     once the budget is exhausted (and forever after).  Safe to call
     from any domain. *)
 
+val check : t -> bool
+(** [check b] is {!spend} without fuel: [false] once the budget is
+    exhausted or its wall-clock allowance has passed (which exhausts
+    it).  For cut points inside one unit of work. *)
+
 val exhausted : t -> string option
 (** The reason the budget ran out, once it has. *)
 

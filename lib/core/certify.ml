@@ -111,12 +111,22 @@ let schedule (m : Model.t) (l : Schedule.t) =
                   in
                   fill 0)
         in
+        (* A witness depends on the constraint's latency class and
+           deadline only, so constraints sharing both share one; the
+           first of them to fail names itself in the error. *)
+        let shared = Hashtbl.create 64 in
         let rec all acc = function
           | [] -> Ok (List.rev acc)
-          | c :: rest -> (
-              match witness c with
-              | Ok w -> all ((c.Timing.name, w) :: acc) rest
-              | Error e -> Error e)
+          | (c : Timing.t) :: rest -> (
+              let key = (Timing.latency_class c, c.Timing.deadline) in
+              match Hashtbl.find_opt shared key with
+              | Some w -> all ((c.Timing.name, w) :: acc) rest
+              | None -> (
+                  match witness c with
+                  | Ok w ->
+                      Hashtbl.add shared key w;
+                      all ((c.Timing.name, w) :: acc) rest
+                  | Error e -> Error e))
         in
         match all [] m.Model.constraints with
         | Ok witnesses -> Ok (Certificate.make m l witnesses)

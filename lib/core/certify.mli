@@ -18,7 +18,14 @@ val schedule : Model.t -> Schedule.t -> (Certificate.t, string) result
     window start); for a periodic constraint, one execution per
     invocation phase over [lcm(period, cycle)].  Fails if [l] is not
     well-formed or some window has no execution — i.e. if the
-    schedule is not actually feasible. *)
+    schedule is not actually feasible.
+
+    A witness depends only on the constraint's
+    {!Timing.latency_class} and deadline, so it is computed once per
+    such pair and reused for every constraint sharing it.  The
+    certificate still lists one witness per constraint, in declaration
+    order, with the bytes each constraint certified alone would give;
+    the checker still checks each of them. *)
 
 val plan : Synthesis.plan -> (Certificate.t, string) result
 (** [plan p] certifies [p.schedule] against [p.model_used] (the model

@@ -83,34 +83,6 @@ let components (m : Model.t) =
 let submodel (m : Model.t) comp =
   Model.make ~comm:m.Model.comm ~constraints:comp.constraints
 
-(* ------------------------------------------------------------------ *)
-(* Structural signatures.                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Task graph rendered over GLOBAL element ids, node order as declared.
-   Two graphs with equal signatures demand the same executions, so the
-   signature may stand in for the graph in dominance and cache keys. *)
-let graph_sig (g : Task_graph.t) =
-  let b = Buffer.create 32 in
-  let size = Task_graph.size g in
-  for v = 0 to size - 1 do
-    if v > 0 then Buffer.add_char b ',';
-    Buffer.add_string b (string_of_int (Task_graph.element_of_node g v))
-  done;
-  Buffer.add_char b '/';
-  List.sort compare (Task_graph.edges g)
-  |> List.iter (fun (u, v) ->
-         Buffer.add_string b (Printf.sprintf "%d>%d;" u v));
-  Buffer.contents b
-
-let class_key (c : Timing.t) =
-  Printf.sprintf "%c%d@%d:%s"
-    (match c.kind with Timing.Periodic -> 'p' | Timing.Asynchronous -> 'a')
-    c.period c.offset (graph_sig c.graph)
-
-let constraint_sig (c : Timing.t) =
-  Printf.sprintf "%s,d=%d" (class_key c) c.deadline
-
 let representatives (m : Model.t) =
   (* Min-deadline dominance within a (kind, period, offset, graph)
      class: satisfying the tightest deadline satisfies every looser one
@@ -121,7 +93,7 @@ let representatives (m : Model.t) =
   let order = ref [] in
   List.iter
     (fun (c : Timing.t) ->
-      let k = class_key c in
+      let k = (c.kind, c.period, c.offset, Task_graph.signature c.graph) in
       match Hashtbl.find_opt best k with
       | None ->
           Hashtbl.replace best k c;

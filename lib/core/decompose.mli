@@ -42,14 +42,6 @@ val submodel : Model.t -> component -> Model.t
 (** The component's constraints over the model's full communication
     graph. *)
 
-val constraint_sig : Timing.t -> string
-(** A name-free signature of one constraint: its kind, period, offset,
-    deadline and task graph over global element ids, nodes in
-    declaration order.  Two constraints over one communication graph
-    with equal signatures demand the same executions in the same
-    windows.  {!representatives} groups constraints by this signature
-    less the deadline. *)
-
 val representatives : Model.t -> Model.t * int
 (** [representatives m] drops constraints dominated by a sibling with
     the same kind, period, offset and task graph but a smaller-or-equal

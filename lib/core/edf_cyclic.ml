@@ -124,7 +124,7 @@ end
 
 type policy = Edf | Dm
 
-let build ?(policy = Edf) g ~horizon jobs =
+let build ?(policy = Edf) ?budget g ~horizon jobs =
   let key (l : live) =
     match policy with
     | Edf -> (l.spec.abs_deadline, l.spec.release, l.spec.job_name)
@@ -146,6 +146,12 @@ let build ?(policy = Edf) g ~horizon jobs =
         { spec = j; ops; op_idx = 0; op_done = 0; total; executed = 0 })
       jobs
   in
+  (* The one budget check: on a large job set the set-up above and the
+     release sort below each take seconds, and the sort cannot be cut
+     once started. *)
+  if not (Option.fold ~none:true ~some:Budget.check budget) then
+    Error { failed_job = ""; at_time = 0; reason = "budget exhausted" }
+  else
   (* Future releases, ascending. *)
   let pending =
     ref

@@ -54,6 +54,7 @@ type policy =
 
 val build :
   ?policy:policy ->
+  ?budget:Budget.t ->
   Comm_graph.t -> horizon:int -> job list -> (Schedule.t, failure) result
 (** [build g ~horizon jobs] runs the dispatcher (default {!Edf}) for
     [horizon] slots.  Ties are broken by (key, release, name) so the
@@ -62,7 +63,11 @@ val build :
     [<= horizon] for the result to be a sound cycle.  Note the miss
     fast-path (checking only the queue head) is exact for EDF; under
     {!Dm} a miss is still always detected, at the latest when the job
-    finishes late or the horizon ends. *)
+    finishes late or the horizon ends.
+
+    With a [budget], {!Budget.check} runs once, after the per-job
+    set-up and before the release sort: a spent budget fails the build
+    with reason ["budget exhausted"] and no job name. *)
 
 val utilization : Comm_graph.t -> horizon:int -> job list -> float
 (** Total work of the jobs divided by the horizon — a quick infeasibility

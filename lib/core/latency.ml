@@ -503,63 +503,87 @@ let verdict_of (c : Timing.t) achieved =
   let ok = match achieved with Some k -> k <= c.deadline | None -> false in
   { constraint_name = c.name; kind = c.kind; bound = c.deadline; achieved; ok }
 
-(* Cached verification: one trace long enough for every constraint's
-   questions is unrolled once and shared; each constraint's questions
-   are clamped to the horizon it would have used on its own, so the
-   verdicts are identical to the uncached path. *)
+(* Cached verification.  Constraints are grouped by
+   [Timing.latency_class] before anything is computed: a class's
+   presence check, horizon and achieved bound are computed once, and
+   each member's verdict pairs that bound with the member's own name and
+   deadline.  One trace long enough for every class is unrolled and
+   shared; each class's questions are clamped to the horizon it would
+   have used on its own, so the verdicts are identical to the uncached
+   path. *)
 let verify_cached (m : Model.t) sched =
   let g = m.comm in
   let cycle = Schedule.length sched in
-  let plans =
+  let index = Hashtbl.create 64 in
+  let reps = ref [] in
+  let class_of =
     List.map
+      (fun c ->
+        let k = Timing.latency_class c in
+        match Hashtbl.find_opt index k with
+        | Some i -> i
+        | None ->
+            let i = Hashtbl.length index in
+            Hashtbl.add index k i;
+            reps := c :: !reps;
+            i)
+      m.constraints
+  in
+  (* One plan per class, built from its first member: every field the
+     analysis reads is part of the class key. *)
+  let plans =
+    List.rev_map
       (fun (c : Timing.t) ->
-        if not (elements_all_present g c.graph sched) then `Unbounded c
+        if not (elements_all_present g c.graph sched) then `Unbounded
         else
           match c.kind with
           | Timing.Asynchronous -> (
               match async_horizon g c.graph sched with
-              | None -> `Unbounded c
+              | None -> `Unbounded
               | Some h -> `Async (c, h))
           | Timing.Periodic -> (
               match periodic_horizon g sched c with
-              | None -> `Unbounded c
+              | None -> `Unbounded
               | Some (super, h) -> `Periodic (c, super, h)))
-      m.constraints
+      !reps
   in
   let max_horizon =
     List.fold_left
       (fun acc -> function
-        | `Unbounded _ -> acc
+        | `Unbounded -> acc
         | `Async (_, h) -> max acc h
         | `Periodic (_, _, h) -> max acc h)
       cycle plans
   in
   let trace = Trace.of_schedule g sched ~horizon:max_horizon in
   let sp = slot_period sched in
-  List.map
-    (function
-      | `Unbounded c -> verdict_of c None
-      | `Async ((c : Timing.t), h) ->
-          let ctx = make_ctx g c.graph trace in
-          (* The trace repeats with the memo cycle, so the worst window
-             start lies within the first such cycle; enumerating only
-             those candidates yields the same argmax. *)
-          let acycle =
-            match memo_cycle ~slot_period:sp g c.graph sched with
-            | Some d -> d
-            | None -> cycle
-          in
-          verdict_of c
-            (Option.map snd (latency_argmax_ctx ctx ~cycle:acycle ~limit:h))
-      | `Periodic ((c : Timing.t), super, h) ->
-          let ctx = make_ctx g c.graph trace in
-          let memo =
-            match memo_cycle ~slot_period:sp g c.graph sched with
-            | Some d -> Some (make_memo d)
-            | None -> None
-          in
-          verdict_of c (periodic_response_ctx ?memo ctx ~limit:h c ~super))
-    plans
+  let achieved =
+    List.map
+      (function
+        | `Unbounded -> None
+        | `Async ((c : Timing.t), h) ->
+            let ctx = make_ctx g c.graph trace in
+            (* The trace repeats with the memo cycle, so the worst window
+               start lies within the first such cycle; enumerating only
+               those candidates yields the same argmax. *)
+            let acycle =
+              match memo_cycle ~slot_period:sp g c.graph sched with
+              | Some d -> d
+              | None -> cycle
+            in
+            Option.map snd (latency_argmax_ctx ctx ~cycle:acycle ~limit:h)
+        | `Periodic ((c : Timing.t), super, h) ->
+            let ctx = make_ctx g c.graph trace in
+            let memo =
+              match memo_cycle ~slot_period:sp g c.graph sched with
+              | Some d -> Some (make_memo d)
+              | None -> None
+            in
+            periodic_response_ctx ?memo ctx ~limit:h c ~super)
+      plans
+    |> Array.of_list
+  in
+  List.map2 (fun c i -> verdict_of c achieved.(i)) m.constraints class_of
 
 let verify ?(cached = true) (m : Model.t) sched =
   (match Schedule.validate m.comm sched with

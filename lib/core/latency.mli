@@ -135,13 +135,18 @@ val verify : ?cached:bool -> Model.t -> Schedule.t -> verdict list
     order.  Raises [Invalid_argument] if [l] fails
     [Schedule.validate].
 
-    With [cached] (the default) one trace long enough for every
-    constraint is unrolled and shared, each constraint's questions are
-    clamped to the horizon it would have used alone, and periodic
-    responses are memoized per invocation phase (sound because a
-    well-formed schedule's instance structure repeats with the cycle).
-    [~cached:false] runs the plain per-constraint engine; both paths
-    return identical verdicts — a property the test suite pins.
+    With [cached] (the default) the constraints are first grouped by
+    {!Timing.latency_class} (kind and task graph, plus period and
+    offset when periodic): each class's presence check, horizon and
+    achieved bound are computed once, and every member gets a verdict
+    with its own name and deadline.  One trace long enough for every
+    class is unrolled and shared, each class's questions are clamped to
+    the horizon it would have used alone, and periodic responses are
+    memoized per invocation phase (sound because a well-formed
+    schedule's instance structure repeats with the cycle).
+    [~cached:false] runs the plain per-constraint engine, analysing
+    every constraint on its own; both paths return identical verdicts —
+    a property the test suite pins.
 
     The phase memo is size-capped (64Ki residues, FIFO eviction) so
     lcm-driven memo cycles cannot grow it without bound; an evicted

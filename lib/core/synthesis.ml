@@ -121,8 +121,9 @@ let prepare ~merge ~pipeline (m : Model.t) =
 
 (* Stage 4 for one candidate round: dispatch everything with EDF over
    the hyperperiod and verify.  Self-contained and effect-free apart
-   from Perf counters, so rounds can be evaluated concurrently. *)
-let attempt ~backend ~max_hyperperiod (p : prep) r =
+   from Perf counters and the shared budget, so rounds can be evaluated
+   concurrently. *)
+let attempt ?budget ~backend ~max_hyperperiod (p : prep) r =
   let nth_clamped l r = List.nth l (min r (List.length l - 1)) in
   let picks =
     List.map (fun (c, cands) -> (c, nth_clamped cands r)) p.candidate_lists
@@ -147,7 +148,10 @@ let attempt ~backend ~max_hyperperiod (p : prep) r =
                 ~graph:c.graph ~period:q ~rel_deadline:dl)
             picks
       in
-      match Edf_cyclic.build ~policy:backend m.comm ~horizon:hyperperiod jobs with
+      match
+        Edf_cyclic.build ~policy:backend ?budget m.comm ~horizon:hyperperiod
+          jobs
+      with
       | Error _ -> None
       | Ok sched ->
           Rt_par.Perf.incr Rt_par.Perf.schedules_built;
@@ -271,15 +275,21 @@ let synthesize_plain ?pool ?budget ?game_table ~merge ~pipeline ~backend
   in
   (* The budget is checked once per candidate round — a round is the
      natural cooperative grain here (each is one EDF construction plus
-     verification); rounds already tried when the budget trips are kept. *)
-  let rounds_tried = Atomic.make 0 in
+     verification) — and once more inside the round's EDF construction,
+     whose set-up on a large job set takes seconds.  A round the budget
+     cut finds no plan and does not count as done. *)
+  let rounds_done = Atomic.make 0 in
   let run (p, r) =
     match budget with
     | Some b when not (Budget.spend b 1) -> None
     | _ ->
-        Atomic.incr rounds_tried;
-        Rt_obs.Tracer.span ~cat:"synthesis" "synthesis/round" (fun () ->
-            attempt ~backend ~max_hyperperiod p r)
+        let found =
+          Rt_obs.Tracer.span ~cat:"synthesis" "synthesis/round" (fun () ->
+              attempt ?budget ~backend ~max_hyperperiod p r)
+        in
+        if Option.is_some found || Option.bind budget Budget.exhausted = None
+        then Atomic.incr rounds_done;
+        found
   in
   let found =
     Rt_par.Perf.time "synthesis" (fun () ->
@@ -298,7 +308,7 @@ let synthesize_plain ?pool ?budget ?game_table ~merge ~pipeline ~backend
   | Some plan -> Ok plan
   | None -> (
       match Option.bind budget Budget.exhausted with
-      | Some reason when Atomic.get rounds_tried < Array.length tasks ->
+      | Some reason when Atomic.get rounds_done < Array.length tasks ->
           (* The budget cut the candidate sweep short.  Degrade
              gracefully: report how far the heuristic got instead of
              pretending the sweep was exhaustive (and skip the exact
@@ -306,7 +316,7 @@ let synthesize_plain ?pool ?budget ?game_table ~merge ~pipeline ~backend
           fail "budget"
             "synthesis budget exhausted (%s) after %d of %d candidate \
              rounds; no feasible candidate found before the cut-off"
-            reason (Atomic.get rounds_tried) (Array.length tasks)
+            reason (Atomic.get rounds_done) (Array.length tasks)
       | _ -> (
           (* Heuristic exhausted.  When requested and the model lies in a
              decidable class, consult the exact game engine: a cycle gives

@@ -91,11 +91,13 @@ val synthesize :
     only sound to reuse a table for one model.
 
     [budget] bounds the whole synthesis cooperatively, checked once per
-    candidate round and threaded into the exact fallback.  Degradation
-    is graceful, never an exception: rounds completed before the
-    cut-off still count (a feasible plan found early is returned
-    normally); if the budget trips mid-sweep the error has stage
-    ["budget"] and says how many rounds ran; if only the exact rescue
+    candidate round, once inside each round's EDF construction (before
+    its release sort, which takes seconds on a large job set; see
+    {!Edf_cyclic.build}) and threaded into the exact fallback.
+    Degradation is graceful, never an exception: rounds completed
+    before the cut-off still count (a feasible plan found early is
+    returned normally); if the budget trips mid-sweep the error has
+    stage ["budget"] and says how many rounds completed; if only the exact rescue
     is cut off, the heuristic's own error stands, annotated with the
     cut-off reason.
 

@@ -1,7 +1,7 @@
 open Rt_core
 
 let of_constraints cs =
-  List.map Decompose.constraint_sig cs
+  List.map (fun (c : Timing.t) -> c.signature) cs
   |> List.sort String.compare
   |> String.concat "|"
   |> Digest.string

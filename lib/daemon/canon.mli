@@ -9,8 +9,9 @@
     solves the other verbatim.
 
     The key is the sorted multiset of the constraints' name-free
-    signatures ({!Rt_core.Decompose.constraint_sig}: kind, period,
-    offset, deadline and task graph over element ids), hashed with
+    signatures (the [signature] field of {!Rt_core.Timing.t}, computed
+    once per constraint: kind, period, offset, deadline and task graph
+    over element ids), hashed with
     [Digest.string] to a fixed size.  Renaming or reordering
     constraints leaves it unchanged; renaming elements is out of scope,
     because [G] is fixed.  A collision can only cost a lost or spurious

@@ -31,3 +31,15 @@ let sum xs =
       let s = acc + x in
       if acc >= 0 && x >= 0 && s < 0 then raise Overflow else s)
     0 xs
+
+let add_decimal b n =
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  if n = min_int then Buffer.add_string b (string_of_int n)
+  else if n < 0 then begin
+    Buffer.add_char b '-';
+    digits (-n)
+  end
+  else digits n

@@ -31,3 +31,8 @@ val sum : int list -> int
 exception Overflow
 (** Raised by {!lcm}, {!lcm_list} and {!sum} when a result exceeds the
     native integer range. *)
+
+val add_decimal : Buffer.t -> int -> unit
+(** [add_decimal b n] appends [string_of_int n] to [b] without going
+    through the formatting machinery, for signatures built once per
+    constraint on large models. *)

@@ -296,6 +296,98 @@ let test_persist_skip_differential () =
 
 (* Names the lexer would not read back take the round trip and are
    refused there, even when every task graph is in elaboration order. *)
+(* Certify shares one witness per (latency class, deadline).  The
+   reference certifies each constraint alone and reassembles the
+   witnesses in model order; the saved bytes must not differ. *)
+let test_certify_shared_bytes () =
+  let prng = Rt_graph.Prng.create 1919 in
+  let shared = ref 0 in
+  for i = 0 to 19 do
+    let raw =
+      if i mod 2 = 0 then
+        Rt_workload.Model_gen.periodic_chain_model prng
+          ~n_constraints:(2 + Rt_graph.Prng.int prng 2)
+          ~utilization:0.7 ~periods:[ 8; 12; 16; 24 ]
+      else
+        Rt_workload.Model_gen.unit_chain_model prng
+          ~n_constraints:(2 + Rt_graph.Prng.int prng 2)
+          ~n_elements:4 ~max_deadline:16
+    in
+    match Synthesis.synthesize ~pipeline:false raw with
+    | Error _ -> ()
+    | Ok p ->
+        let mu = p.Synthesis.model_used and sched = p.Synthesis.schedule in
+        (* Renamed copies at the same and at a looser deadline, an
+           asynchronous copy at another separation and a periodic copy
+           at twice the period: each is met wherever its original is. *)
+        let copies =
+          List.concat_map
+            (fun (c : Timing.t) ->
+              let copy suffix ~period ~deadline =
+                let t =
+                  Timing.make ~name:(c.name ^ suffix) ~graph:c.graph ~period
+                    ~deadline ~kind:c.kind
+                in
+                if c.offset = 0 then t else Timing.with_offset t c.offset
+              in
+              [
+                copy "_a" ~period:c.period ~deadline:c.deadline;
+                copy "_b" ~period:c.period ~deadline:(c.deadline + 3);
+                copy "_c" ~period:(2 * c.period) ~deadline:c.deadline;
+              ])
+            mu.Model.constraints
+        in
+        let m =
+          Model.make ~comm:mu.Model.comm
+            ~constraints:(mu.Model.constraints @ copies)
+        in
+        let witness_alone (c : Timing.t) =
+          match
+            Certify.schedule (Model.make ~comm:m.Model.comm ~constraints:[ c ]) sched
+          with
+          | Ok { Certificate.witnesses = [ w ]; _ } -> w
+          | Ok _ -> Alcotest.fail "one constraint, several witnesses"
+          | Error e -> Alcotest.failf "%s alone: %s" c.name e
+        in
+        let reference =
+          Certificate.make m sched (List.map witness_alone m.Model.constraints)
+        in
+        (match Certify.schedule m sched with
+        | Error e -> Alcotest.failf "model %d: %s" i e
+        | Ok cert ->
+            incr shared;
+            Alcotest.check Alcotest.string
+              (Printf.sprintf "model %d: same bytes" i)
+              (Rt_spec.Persist.save_certificate_string m reference)
+              (Rt_spec.Persist.save_certificate_string m cert));
+        (* A copy one slot below its class's achieved bound shares no
+           witness: certification fails, naming the copy. *)
+        List.iter2
+          (fun (c : Timing.t) (v : Latency.verdict) ->
+            match v.Latency.achieved with
+            | Some a when a > 1 ->
+                let tight =
+                  Timing.make ~name:"tight" ~graph:c.graph ~period:c.period
+                    ~deadline:(a - 1) ~kind:c.kind
+                in
+                let tight =
+                  if c.offset = 0 then tight else Timing.with_offset tight c.offset
+                in
+                let m' =
+                  Model.make ~comm:m.Model.comm
+                    ~constraints:(m.Model.constraints @ [ tight ])
+                in
+                checkb
+                  (Printf.sprintf "model %d: %s below its bound refused" i c.name)
+                  true
+                  (match Certify.schedule m' sched with
+                  | Error e -> String.starts_with ~prefix:"constraint tight:" e
+                  | Ok _ -> false)
+            | _ -> ())
+          mu.Model.constraints (Latency.verify mu sched)
+  done;
+  checkb "at least 8 models certified" true (!shared >= 8)
+
 let test_persist_unreadable_names () =
   let refused what elem cname =
     let comm = Comm_graph.create ~elements:[ (elem, 1, true) ] ~edges:[] in
@@ -480,6 +572,30 @@ let test_budget_absent_identical () =
     | Exact.Feasible s1, Exact.Feasible s2 -> s1 = s2
     | _ -> false)
 
+(* A wall budget spent before the EDF construction's release sort cuts
+   the build, and synthesis under it reports stage "budget". *)
+let test_expired_wall_budget () =
+  let expired () =
+    let b = Budget.create ~wall_s:0.0 () in
+    Unix.sleepf 0.002;
+    b
+  in
+  let m = example in
+  let jobs =
+    List.concat_map (Edf_cyclic.jobs_of_periodic ~horizon:40) (Model.periodic m)
+  in
+  (match Edf_cyclic.build m.Model.comm ~horizon:40 jobs with
+  | Ok _ -> ()
+  | Error f -> Alcotest.failf "unbudgeted build failed: %s" f.Edf_cyclic.reason);
+  (match Edf_cyclic.build ~budget:(expired ()) m.Model.comm ~horizon:40 jobs with
+  | Error f ->
+      Alcotest.check Alcotest.string "build cut" "budget exhausted"
+        f.Edf_cyclic.reason
+  | Ok _ -> Alcotest.fail "build ran on a spent budget");
+  match Synthesis.synthesize ~budget:(expired ()) m with
+  | Error e -> Alcotest.check Alcotest.string "stage" "budget" e.Synthesis.stage
+  | Ok _ -> Alcotest.fail "synthesis succeeded on a spent budget"
+
 let test_synthesis_budget_graceful () =
   (* An already-exhausted budget must yield a diagnosable stage-"budget"
      error, never an exception, and a generous budget must not change
@@ -518,6 +634,8 @@ let () =
             test_persist_skip_differential;
           Alcotest.test_case "persist refuses unreadable names" `Quick
             test_persist_unreadable_names;
+          Alcotest.test_case "certify shared = per-constraint bytes" `Quick
+            test_certify_shared_bytes;
           Alcotest.test_case "digest cache = fresh digest" `Quick
             test_digest_cache;
           Alcotest.test_case "multiproc certificate" `Quick
@@ -541,6 +659,8 @@ let () =
             test_budget_wall_timeout;
           Alcotest.test_case "fuel budget times out" `Quick
             test_budget_fuel_timeout;
+          Alcotest.test_case "expired wall budget: stage budget" `Quick
+            test_expired_wall_budget;
           Alcotest.test_case "no budget is bit-identical" `Quick
             test_budget_absent_identical;
           Alcotest.test_case "synthesis degrades gracefully" `Quick

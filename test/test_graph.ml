@@ -50,6 +50,16 @@ let test_sum () =
   Alcotest.check_raises "sum overflow" Intmath.Overflow (fun () ->
       ignore (Intmath.sum [ max_int; 1 ]))
 
+let test_add_decimal () =
+  List.iter
+    (fun n ->
+      let b = Buffer.create 4 in
+      Buffer.add_string b "x";
+      Intmath.add_decimal b n;
+      Alcotest.check Alcotest.string (string_of_int n) ("x" ^ string_of_int n)
+        (Buffer.contents b))
+    [ 0; 7; 10; 99; 1024; 1 lsl 40; max_int; -1; -305; min_int ]
+
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -361,6 +371,8 @@ let () =
           Alcotest.test_case "pow2_floor" `Quick test_pow2_floor;
           Alcotest.test_case "sum" `Quick test_sum;
           Alcotest.test_case "gcd_list" `Quick test_gcd_list;
+          Alcotest.test_case "add_decimal = string_of_int" `Quick
+            test_add_decimal;
         ] );
       ( "prng",
         [

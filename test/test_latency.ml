@@ -478,6 +478,102 @@ let test_verify_cached_on_unrolled_schedule () =
                (Latency.verify ~cached:false mu sched)))
         [ 2; 3; 5 ]
 
+(* ------------------------------------------------------------------ *)
+(* Class-shared verification = per-constraint reference                *)
+(* ------------------------------------------------------------------ *)
+
+(* Copies of [c] under fresh names.  A copy with another deadline, or
+   an asynchronous copy with another separation, stays in [c]'s latency
+   class; a periodic copy with another offset or period leaves it. *)
+let class_variants g (c : Timing.t) =
+  let copy suffix ~period ~deadline ~offset =
+    let t =
+      Timing.make ~name:(c.name ^ suffix) ~graph:c.graph ~period ~deadline
+        ~kind:c.kind
+    in
+    if offset = 0 then t else Timing.with_offset t offset
+  in
+  let d' = max 1 (c.deadline - 1 - Rt_graph.Prng.int g 3) in
+  let same_class =
+    [
+      copy "_d" ~period:c.period ~deadline:d' ~offset:c.offset;
+      copy "_e" ~period:c.period ~deadline:(c.deadline + 2) ~offset:c.offset;
+      copy "_f" ~period:c.period ~deadline:c.deadline ~offset:c.offset;
+    ]
+  in
+  match c.kind with
+  | Timing.Asynchronous ->
+      copy "_s" ~period:(c.period + 1) ~deadline:c.deadline ~offset:0
+      :: same_class
+  | Timing.Periodic ->
+      let other_offset =
+        if c.period > 1 then
+          [
+            copy "_o" ~period:c.period ~deadline:c.deadline
+              ~offset:((c.offset + 1) mod c.period);
+          ]
+        else []
+      in
+      (copy "_p" ~period:(2 * c.period) ~deadline:c.deadline ~offset:c.offset
+      :: other_offset)
+      @ same_class
+
+(* Models verified; classes of several constraints, of one. *)
+let class_draws = (ref 0, ref 0, ref 0)
+
+let prop_class_shared_verify =
+  QCheck.Test.make ~name:"class-shared verify = uncached" ~count:120
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let g = Rt_graph.Prng.create seed in
+      let base =
+        if seed mod 2 = 0 then
+          Rt_workload.Model_gen.periodic_chain_model g
+            ~n_constraints:(2 + Rt_graph.Prng.int g 2)
+            ~utilization:0.7 ~periods:[ 8; 12; 16; 24 ]
+        else
+          Rt_workload.Model_gen.unit_chain_model g
+            ~n_constraints:(2 + Rt_graph.Prng.int g 2)
+            ~n_elements:4 ~max_deadline:16
+      in
+      match Synthesis.synthesize ~pipeline:false base with
+      | Error _ -> true
+      | Ok plan ->
+          let mu = plan.Synthesis.model_used in
+          let copies =
+            List.concat_map
+              (fun c ->
+                List.filter
+                  (fun _ -> Rt_graph.Prng.int g 3 > 0)
+                  (class_variants g c))
+              mu.Model.constraints
+          in
+          let m =
+            Model.make ~comm:mu.Model.comm
+              ~constraints:(mu.Model.constraints @ copies)
+          in
+          let sizes = Hashtbl.create 16 in
+          List.iter
+            (fun c ->
+              let k = Timing.latency_class c in
+              Hashtbl.replace sizes k
+                (1 + Option.value ~default:0 (Hashtbl.find_opt sizes k)))
+            m.Model.constraints;
+          let models, shared, unshared = class_draws in
+          incr models;
+          Hashtbl.iter
+            (fun _ n -> if n > 1 then incr shared else incr unshared)
+            sizes;
+          let sched = plan.Synthesis.schedule in
+          Latency.verify m sched = Latency.verify ~cached:false m sched)
+
+let test_class_shared_verify () =
+  QCheck.Test.check_exn prop_class_shared_verify;
+  let models, shared, unshared = class_draws in
+  checkb "at least 30 models verified" true (!models >= 30);
+  checkb "a class with several constraints drawn" true (!shared > 0);
+  checkb "a class with one constraint drawn" true (!unshared > 0)
+
 let () =
   Alcotest.run "rt_core-latency"
     [
@@ -532,6 +628,8 @@ let () =
             test_verify_cached_equals_uncached;
           Alcotest.test_case "verify cached = uncached (unrolled)" `Quick
             test_verify_cached_on_unrolled_schedule;
+          Alcotest.test_case "class-shared verify = uncached" `Quick
+            test_class_shared_verify;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
