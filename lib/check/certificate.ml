@@ -12,49 +12,59 @@ type t = {
   witnesses : (string * witness) list;
 }
 
-(* FNV-1a over the canonical model rendering.  Not cryptographic — the
-   digest defends against stale or mismatched certificates, not
-   against an adversary forging a colliding model. *)
-let fnv1a s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Printf.sprintf "fnv1a:%016Lx" !h
+(* FNV-1a over the canonical model rendering, streamed into the hasher
+   as it is produced:
 
+     G:<name>,<weight>,<pipelinable>;...E:<u>-<v>;...
+     T:<name>,<kind>,<period>,<deadline>,<offset>,[<elem> ...],[<u>-<v> ...];...
+
+   Not cryptographic — the digest defends against stale or mismatched
+   certificates, not against an adversary forging a colliding model. *)
 let compute_digest (m : Model.t) =
-  let b = Buffer.create 256 in
+  let module F = Rt_graph.Fnv in
+  let h = F.create () in
   let g = m.Model.comm in
-  Buffer.add_string b "G:";
+  F.add_string h "G:";
   List.iter
     (fun (e : Element.t) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%d,%b;" e.Element.name e.Element.weight
-           e.Element.pipelinable))
+      F.add_string h e.Element.name;
+      F.add_char h ',';
+      F.add_decimal h e.Element.weight;
+      F.add_string h (if e.Element.pipelinable then ",true;" else ",false;"))
     (Comm_graph.elements g);
-  Buffer.add_string b "E:";
-  List.iter
-    (fun (u, v) -> Buffer.add_string b (Printf.sprintf "%d-%d;" u v))
-    (Rt_graph.Digraph.edges (Comm_graph.graph g));
-  Buffer.add_string b "T:";
+  F.add_string h "E:";
+  Rt_graph.Digraph.iter_edges (Comm_graph.graph g) ~f:(fun u v ->
+      F.add_decimal h u;
+      F.add_char h '-';
+      F.add_decimal h v;
+      F.add_char h ';');
+  F.add_string h "T:";
   List.iter
     (fun (c : Timing.t) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s,%s,%d,%d,%d,[" c.Timing.name
-           (Timing.kind_to_string c.Timing.kind)
-           c.Timing.period c.Timing.deadline c.Timing.offset);
-      Array.iter
-        (fun e -> Buffer.add_string b (Printf.sprintf "%d " e))
-        (Task_graph.node_elements c.Timing.graph);
-      Buffer.add_string b "],[";
-      List.iter
-        (fun (u, v) -> Buffer.add_string b (Printf.sprintf "%d-%d " u v))
-        (Task_graph.edges c.Timing.graph);
-      Buffer.add_string b "];")
+      F.add_string h c.Timing.name;
+      F.add_char h ',';
+      F.add_string h (Timing.kind_to_string c.Timing.kind);
+      F.add_char h ',';
+      F.add_decimal h c.Timing.period;
+      F.add_char h ',';
+      F.add_decimal h c.Timing.deadline;
+      F.add_char h ',';
+      F.add_decimal h c.Timing.offset;
+      F.add_string h ",[";
+      let tg = c.Timing.graph in
+      for v = 0 to Task_graph.size tg - 1 do
+        F.add_decimal h (Task_graph.element_of_node tg v);
+        F.add_char h ' '
+      done;
+      F.add_string h "],[";
+      Rt_graph.Digraph.iter_edges (Task_graph.graph tg) ~f:(fun u v ->
+          F.add_decimal h u;
+          F.add_char h '-';
+          F.add_decimal h v;
+          F.add_char h ' ');
+      F.add_string h "];")
     m.Model.constraints;
-  fnv1a (Buffer.contents b)
+  F.to_string h
 
 (* One admit asks for the digest of the same model value several times
    (certificate, checker, persist, journal record).  A [Model.t] is
@@ -91,65 +101,74 @@ let equal a b =
        a.witnesses b.witnesses
 
 (* JSON writing: hand-rolled so this library keeps zero dependencies
-   beyond the model vocabulary.  Parsing lives in Rt_spec.Persist. *)
+   beyond the model vocabulary, and written to a sink so the daemon can
+   hash a certificate without building it.  Parsing lives in
+   Rt_spec.Persist. *)
 
-let json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+module Sink = Rt_graph.Sink
 
-let json_list b xs f =
-  Buffer.add_char b '[';
+let json_list s xs f =
+  Sink.add_char s '[';
   List.iteri
     (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
+      if i > 0 then Sink.add_char s ',';
       f x)
     xs;
-  Buffer.add_char b ']'
+  Sink.add_char s ']'
 
-let json_schedule b l =
-  json_list b
-    (Array.to_list (Schedule.slots l))
-    (function
-      | Schedule.Idle -> Buffer.add_string b "-1"
-      | Schedule.Run e -> Buffer.add_string b (string_of_int e))
+let json_array s xs f =
+  Sink.add_char s '[';
+  Array.iteri
+    (fun i x ->
+      if i > 0 then Sink.add_char s ',';
+      f x)
+    xs;
+  Sink.add_char s ']'
 
-let json_exec b (x : exec) =
-  json_list b (Array.to_list x) (fun (s, f) ->
-      Buffer.add_string b (Printf.sprintf "[%d,%d]" s f))
+let json_schedule s l =
+  json_array s (Schedule.slots l) (function
+    | Schedule.Idle -> Sink.add_string s "-1"
+    | Schedule.Run e -> Sink.add_decimal s e)
 
-let json_witness b (name, w) =
-  Buffer.add_string b "{\"constraint\":";
-  json_string b name;
+let json_exec s (x : exec) =
+  Sink.add_char s '[';
+  for i = 0 to Array.length x - 1 do
+    let st, f = x.(i) in
+    Sink.add_string s (if i > 0 then ",[" else "[");
+    Sink.add_decimal s st;
+    Sink.add_char s ',';
+    Sink.add_decimal s f;
+    Sink.add_char s ']'
+  done;
+  Sink.add_char s ']'
+
+let json_witness s (name, w) =
+  Sink.add_string s "{\"constraint\":";
+  Sink.add_json_string s name;
   (match w with
   | Async execs ->
-      Buffer.add_string b ",\"kind\":\"async\",\"execs\":";
-      json_list b execs (json_exec b)
+      Sink.add_string s ",\"kind\":\"async\",\"execs\":";
+      json_list s execs (json_exec s)
   | Periodic execs ->
-      Buffer.add_string b ",\"kind\":\"periodic\",\"execs\":";
-      json_list b (Array.to_list execs) (json_exec b));
-  Buffer.add_char b '}'
+      Sink.add_string s ",\"kind\":\"periodic\",\"execs\":";
+      json_array s execs (json_exec s));
+  Sink.add_char s '}'
+
+let render_fields s t =
+  Sink.add_string s "{\"format\":\"rtsyn-certificate\",\"version\":";
+  Sink.add_decimal s version;
+  Sink.add_string s ",\"digest\":";
+  Sink.add_json_string s t.digest;
+  Sink.add_string s ",\"schedule\":";
+  json_schedule s t.schedule;
+  Sink.add_string s ",\"witnesses\":";
+  json_list s t.witnesses (json_witness s)
 
 let to_json t =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "{\"format\":\"rtsyn-certificate\",\"version\":";
-  Buffer.add_string b (string_of_int version);
-  Buffer.add_string b ",\"digest\":";
-  json_string b t.digest;
-  Buffer.add_string b ",\"schedule\":";
-  json_schedule b t.schedule;
-  Buffer.add_string b ",\"witnesses\":";
-  json_list b t.witnesses (json_witness b);
-  Buffer.add_string b "}\n";
+  let s = Sink.of_buffer b in
+  render_fields s t;
+  Sink.add_string s "}\n";
   Buffer.contents b
 
 (* Multiprocessor certificates *)
@@ -197,55 +216,55 @@ let mp_equal a b =
   && a.mp_dropped = b.mp_dropped
   && a.mp_overrides = b.mp_overrides
 
-let json_piece b = function
-  | Mp_segment s ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"seg\":%d,\"ops\":[%s],\"w\":[%d,%d]}" s.processor
-           (String.concat "," (List.map string_of_int s.ops))
-           s.start_off s.end_off)
+let json_piece s = function
+  | Mp_segment seg ->
+      Sink.add_string s
+        (Printf.sprintf "{\"seg\":%d,\"ops\":[%s],\"w\":[%d,%d]}"
+           seg.processor
+           (String.concat "," (List.map string_of_int seg.ops))
+           seg.start_off seg.end_off)
   | Mp_message msg ->
-      Buffer.add_string b
+      Sink.add_string s
         (Printf.sprintf "{\"msg\":%d,\"w\":[%d,%d]}" msg.cost msg.start_off
            msg.end_off)
 
-let json_mp_plan b (p : mp_plan) =
-  Buffer.add_string b "{\"source\":";
-  json_string b p.source;
-  Buffer.add_string b (Printf.sprintf ",\"period\":%d,\"pieces\":" p.period);
-  json_list b p.pieces (json_piece b);
-  Buffer.add_char b '}'
+let json_mp_plan s (p : mp_plan) =
+  Sink.add_string s "{\"source\":";
+  Sink.add_json_string s p.source;
+  Sink.add_string s (Printf.sprintf ",\"period\":%d,\"pieces\":" p.period);
+  json_list s p.pieces (json_piece s);
+  Sink.add_char s '}'
 
-let json_mp b t =
-  Buffer.add_string b "{\"digest\":";
-  json_string b t.mp_digest;
-  Buffer.add_string b (Printf.sprintf ",\"hyperperiod\":%d" t.hyperperiod);
-  Buffer.add_string b ",\"processors\":";
-  json_list b (Array.to_list t.processors) (json_schedule b);
-  Buffer.add_string b ",\"bus\":";
-  json_list b
-    (Array.to_list t.bus)
-    (function
-      | None -> Buffer.add_string b "null"
-      | Some s -> json_string b s);
-  Buffer.add_string b ",\"plans\":";
-  json_list b t.mp_plans (json_mp_plan b);
-  Buffer.add_string b ",\"dropped\":";
-  json_list b t.mp_dropped (json_string b);
-  Buffer.add_string b ",\"overrides\":";
-  json_list b t.mp_overrides (fun (n, p, d) ->
-      Buffer.add_string b "[";
-      json_string b n;
-      Buffer.add_string b (Printf.sprintf ",%d,%d]" p d));
-  Buffer.add_char b '}'
+let json_mp s t =
+  Sink.add_string s "{\"digest\":";
+  Sink.add_json_string s t.mp_digest;
+  Sink.add_string s (Printf.sprintf ",\"hyperperiod\":%d" t.hyperperiod);
+  Sink.add_string s ",\"processors\":";
+  json_array s t.processors (json_schedule s);
+  Sink.add_string s ",\"bus\":";
+  json_array s t.bus (function
+      | None -> Sink.add_string s "null"
+      | Some slot -> Sink.add_json_string s slot);
+  Sink.add_string s ",\"plans\":";
+  json_list s t.mp_plans (json_mp_plan s);
+  Sink.add_string s ",\"dropped\":";
+  json_list s t.mp_dropped (Sink.add_json_string s);
+  Sink.add_string s ",\"overrides\":";
+  json_list s t.mp_overrides (fun (n, p, d) ->
+      Sink.add_string s "[";
+      Sink.add_json_string s n;
+      Sink.add_string s (Printf.sprintf ",%d,%d]" p d));
+  Sink.add_char s '}'
 
 let mp_to_json t =
   let b = Buffer.create 1024 in
-  Buffer.add_string b
+  let s = Sink.of_buffer b in
+  Sink.add_string s
     "{\"format\":\"rtsyn-certificate-mp\",\"version\":";
-  Buffer.add_string b (string_of_int version);
-  Buffer.add_string b ",\"system\":";
-  json_mp b t;
-  Buffer.add_string b "}\n";
+  Sink.add_string s (string_of_int version);
+  Sink.add_string s ",\"system\":";
+  json_mp s t;
+  Sink.add_string s "}\n";
   Buffer.contents b
 
 type mp_table = {
@@ -258,18 +277,19 @@ type mp_table = {
 
 let table_to_json t =
   let b = Buffer.create 4096 in
-  Buffer.add_string b
+  let s = Sink.of_buffer b in
+  Sink.add_string s
     "{\"format\":\"rtsyn-certificate-contingency\",\"version\":";
-  Buffer.add_string b (string_of_int version);
-  Buffer.add_string b
+  Sink.add_string s (string_of_int version);
+  Sink.add_string s
     (Printf.sprintf ",\"detect\":%d,\"migration\":%d,\"reconfig\":%d" t.t_detect
        t.t_migration t.t_reconfig);
-  Buffer.add_string b ",\"nominal\":";
-  json_mp b t.t_nominal;
-  Buffer.add_string b ",\"scenarios\":";
-  json_list b t.t_scenarios (fun (dead, mp) ->
-      Buffer.add_string b (Printf.sprintf "{\"dead\":%d,\"system\":" dead);
-      json_mp b mp;
-      Buffer.add_char b '}');
-  Buffer.add_string b "}\n";
+  Sink.add_string s ",\"nominal\":";
+  json_mp s t.t_nominal;
+  Sink.add_string s ",\"scenarios\":";
+  json_list s t.t_scenarios (fun (dead, mp) ->
+      Sink.add_string s (Printf.sprintf "{\"dead\":%d,\"system\":" dead);
+      json_mp s mp;
+      Sink.add_char s '}');
+  Sink.add_string s "}\n";
   Buffer.contents b

@@ -45,11 +45,15 @@ type t = {
 
 val digest_of_model : Model.t -> string
 (** A digest of the model's canonical rendering (elements, edges,
-    constraints); certificates are only meaningful against the model
-    they were computed for, and the checker rejects a mismatch.  The
-    digest of the model value last asked for is remembered (one entry,
-    compared by physical equality, safe across domains), so asking
-    again for the same value costs no second rendering. *)
+    constraints): FNV-1a ({!Rt_graph.Fnv}) over
+    [G:name,weight,pipelinable;...E:u-v;...T:name,kind,period,deadline,offset,\[elem ...\],\[u-v ...\];...],
+    rendered ["fnv1a:%016x"].  The rendering is streamed into the
+    hasher, never built as text.  Certificates are only meaningful
+    against the model they were computed for, and the checker rejects a
+    mismatch.  The digest of the model value last asked for is
+    remembered (one entry, compared by physical equality, safe across
+    domains), so asking again for the same value costs no second
+    hashing. *)
 
 val make : Model.t -> Schedule.t -> (string * witness) list -> t
 (** [make m l ws] stamps the certificate with [digest_of_model m]. *)
@@ -61,7 +65,14 @@ val equal : t -> t -> bool
 val to_json : t -> string
 (** Serialize to the JSON document [rtsyn check --certificate]
     consumes (parsing lives in [Rt_spec.Persist], which may use the
-    observability JSON reader; this library stays dependency-free). *)
+    observability JSON reader; this library stays dependency-free).
+    The document is {!render_fields} followed by ["}\n"]. *)
+
+val render_fields : Rt_graph.Sink.t -> t -> unit
+(** [render_fields s t] writes {!to_json}'s document up to, not
+    including, its closing brace, so a caller can append fields
+    ([Rt_spec.Persist] appends the model) and can hash the document
+    instead of building it. *)
 
 (** {1 Multiprocessor certificates}
 

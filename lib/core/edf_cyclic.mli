@@ -65,9 +65,10 @@ val build :
     {!Dm} a miss is still always detected, at the latest when the job
     finishes late or the horizon ends.
 
-    With a [budget], {!Budget.check} runs once, after the per-job
-    set-up and before the release sort: a spent budget fails the build
-    with reason ["budget exhausted"] and no job name. *)
+    With a [budget], {!Budget.check} runs after the per-job set-up and
+    every 1024 slots of the dispatch: a spent budget fails the build
+    with reason ["budget exhausted"] and no job name.  Jobs released at
+    or after [horizon] are never dispatched. *)
 
 val utilization : Comm_graph.t -> horizon:int -> job list -> float
 (** Total work of the jobs divided by the horizon — a quick infeasibility

@@ -275,8 +275,8 @@ let synthesize_plain ?pool ?budget ?game_table ~merge ~pipeline ~backend
   in
   (* The budget is checked once per candidate round — a round is the
      natural cooperative grain here (each is one EDF construction plus
-     verification) — and once more inside the round's EDF construction,
-     whose set-up on a large job set takes seconds.  A round the budget
+     verification) — and inside the round's EDF construction, after its
+     set-up and every 1024 slots of its dispatch.  A round the budget
      cut finds no plan and does not count as done. *)
   let rounds_done = Atomic.make 0 in
   let run (p, r) =

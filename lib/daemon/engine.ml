@@ -71,8 +71,8 @@ let certify_checked m sched =
       match Checker.check m cert with
       | Error diags -> Error diags
       | Ok () -> (
-          match Rt_spec.Persist.save_certificate_string m cert with
-          | json -> Ok (Journal.digest_string json)
+          match Rt_spec.Persist.certificate_digest m cert with
+          | digest -> Ok digest
           | exception Invalid_argument e -> Error [ "persist: " ^ e ]))
 
 let table_for t digest =

@@ -9,37 +9,15 @@ type record =
     }
   | Retire of { name : string; digest : string; cert : string }
 
-(* FNV-1a, 64-bit — same construction as the model digest, over an
-   arbitrary payload. *)
-let digest_string s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Printf.sprintf "fnv1a:%016Lx" !h
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 16) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let digest_string = Rt_graph.Fnv.string
 
 let obj fields =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> json_escape k ^ ":" ^ json_escape v) fields)
+      (List.map
+         (fun (k, v) ->
+           Rt_graph.Sink.json_string k ^ ":" ^ Rt_graph.Sink.json_string v)
+         fields)
   ^ "}"
 
 let serialize = function

@@ -56,4 +56,7 @@ val close : t -> unit
 
 val digest_string : string -> string
 (** FNV-1a digest of a string, rendered like the model digests
-    (["fnv1a:%016x"]) — used for certificate digests in records. *)
+    (["fnv1a:%016x"]).  A record's [cert] is this digest of the
+    certificate file's bytes; the daemon computes it without building
+    the file ([Rt_spec.Persist.certificate_digest]), so this is the
+    reference it must agree with. *)

@@ -64,21 +64,7 @@ let parse line =
 
 type field = S of string | I of int | F of float | B of bool | Raw of string
 
-let escape s =
-  let b = Buffer.create (String.length s + 16) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
+let escape = Rt_graph.Sink.json_string
 
 let render_field = function
   | S s -> escape s

@@ -63,13 +63,14 @@ let in_degree t v =
   check_node t v;
   Int_set.cardinal t.radj.(v)
 
+let iter_edges t ~f =
+  for u = t.n - 1 downto 0 do
+    Int_set.iter (fun v -> f u v) t.adj.(u)
+  done
+
 let edges t =
   let acc = ref [] in
-  for u = t.n - 1 downto 0 do
-    Int_set.fold (fun v l -> (u, v) :: l) t.adj.(u) []
-    |> List.rev
-    |> List.iter (fun e -> acc := e :: !acc)
-  done;
+  iter_edges t ~f:(fun u v -> acc := (u, v) :: !acc);
   List.rev !acc
 
 let fold_edges t ~init ~f =

@@ -24,7 +24,13 @@ val n_edges : t -> int
 (** Number of (distinct) directed edges. *)
 
 val edges : t -> (int * int) list
-(** All edges, sorted lexicographically. *)
+(** All edges: sources in descending order, each source's targets in
+    ascending order.  Model digests and printed specifications list
+    edges in this order, so it is part of their bytes. *)
+
+val iter_edges : t -> f:(int -> int -> unit) -> unit
+(** [iter_edges g ~f] calls [f u v] on every edge, in the order of
+    {!edges}, without building the list. *)
 
 val succ : t -> int -> int list
 (** [succ g v] are the direct successors of [v], ascending. *)
@@ -124,5 +130,5 @@ val to_dot : ?name:string -> ?label:(int -> string) -> t -> string
 (** [to_dot g] renders Graphviz DOT source for [g]. *)
 
 val fold_edges : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-(** [fold_edges g ~init ~f] folds over all edges in lexicographic
-    order. *)
+(** [fold_edges g ~init ~f] folds over all edges in the order of
+    {!edges}. *)

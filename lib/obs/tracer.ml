@@ -199,6 +199,9 @@ let string_of_phase = function
   | I -> "i"
   | M -> "M"
 
+(* Not [Rt_graph.Sink]'s JSON escaper: this one also writes [\r] and
+   [\t] as short escapes where that one writes [\u000d] and [\u0009],
+   so trace files keep their own bytes. *)
 let escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter

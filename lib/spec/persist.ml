@@ -88,26 +88,6 @@ let load_file path =
 (* Certificates: JSON written by Rt_check.Certificate.to_json.         *)
 (* ------------------------------------------------------------------ *)
 
-(* The file embeds the certified model as specification source, so a
-   certificate is checkable self-contained: synthesis may rewrite the
-   model (merging, pipelining) before scheduling, and the certificate
-   binds to the model actually scheduled, not to the input spec. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 16) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 (* Whether printing [m] and elaborating the source again would give
    back an equal model, decided without the round trip.  Elaboration
    numbers each task graph's nodes by element name; a task graph keeps
@@ -217,16 +197,28 @@ let canonicalize m cert =
             witnesses = List.map remap_witness cert.Certificate.witnesses;
           } )
 
-let save_certificate_string m cert =
+(* The file embeds the certified model as specification source, so a
+   certificate is checkable self-contained: synthesis may rewrite the
+   model (merging, pipelining) before scheduling, and the certificate
+   binds to the model actually scheduled, not to the input spec.  The
+   model is a final field after [Certificate.to_json]'s, rendered
+   through a JSON-escaping view of the same sink. *)
+let render_certificate s m cert =
   let m', cert' = canonicalize m cert in
-  let base = Certificate.to_json cert' in
-  (* [to_json] renders one object; splice the model source in as a
-     final field. *)
-  let close = String.rindex base '}' in
-  String.sub base 0 close
-  ^ ",\"model\":"
-  ^ json_escape (Printer.print m')
-  ^ "}\n"
+  Certificate.render_fields s cert';
+  Rt_graph.Sink.add_string s ",\"model\":\"";
+  Printer.render (Rt_graph.Sink.json_escaping s) m';
+  Rt_graph.Sink.add_string s "\"}\n"
+
+let save_certificate_string m cert =
+  let b = Buffer.create 4096 in
+  render_certificate (Rt_graph.Sink.of_buffer b) m cert;
+  Buffer.contents b
+
+let certificate_digest m cert =
+  let h = Rt_graph.Fnv.create () in
+  render_certificate (Rt_graph.Sink.of_fnv h) m cert;
+  Rt_graph.Fnv.to_string h
 
 let save_certificate_file path m cert =
   let oc = open_out path in

@@ -46,7 +46,8 @@ val load_file :
     is checkable self-contained.  Loading only re-builds the data
     structures — semantic validation is the trusted checker's job
     ([rtsyn check --certificate] runs [Rt_check.Checker.check] on the
-    result). *)
+    result).  The file and its digest come from one renderer
+    ({!Rt_graph.Sink}), written to a buffer or to a hasher. *)
 
 val save_certificate_string : Rt_core.Model.t -> Rt_core.Certificate.t -> string
 (** [save_certificate_string m cert] renders the certificate file
@@ -61,6 +62,13 @@ val save_certificate_string : Rt_core.Model.t -> Rt_core.Certificate.t -> string
     is, without printing and re-elaborating it; the bytes are the same
     either way.  Raises [Invalid_argument] if [m] is not expressible in
     the spec language or [cert] does not bind to [m]. *)
+
+val certificate_digest : Rt_core.Model.t -> Rt_core.Certificate.t -> string
+(** [certificate_digest m cert] is the FNV-1a digest (["fnv1a:%016x"])
+    of exactly the bytes {!save_certificate_string} would return, with
+    the same canonicalization and the same refusals, computed by
+    streaming those bytes into the hasher instead of building them.
+    The daemon journals it for every certificate it issues. *)
 
 val save_certificate_file :
   string -> Rt_core.Model.t -> Rt_core.Certificate.t -> unit

@@ -19,5 +19,15 @@ val print :
     declarations (bounds are truncated to integers — the spec language
     is integral). *)
 
+val render :
+  ?name:string ->
+  ?assertions:(string * string * float * float) list ->
+  Rt_graph.Sink.t ->
+  Rt_core.Model.t ->
+  unit
+(** [render s m] writes {!print}'s text to [s] without building it: the
+    certificate file embeds it through a JSON-escaping sink, and the
+    daemon's certificate digest hashes it as it is produced. *)
+
 val print_constraint : Rt_core.Model.t -> Rt_core.Timing.t -> string
 (** Render a single constraint declaration. *)

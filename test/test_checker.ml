@@ -421,6 +421,222 @@ let test_persist_unreadable_names () =
   refused "name starting with a digit" "9f" "c"
 
 (* ------------------------------------------------------------------ *)
+(* Streamed digests                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The model digest as it was first computed: the canonical rendering
+   built with [Printf] into one string, then hashed whole. *)
+let printf_model_digest (m : Model.t) =
+  let b = Buffer.create 256 in
+  let g = m.Model.comm in
+  Buffer.add_string b "G:";
+  List.iter
+    (fun (e : Element.t) ->
+      Buffer.add_string b
+        (Printf.sprintf "%s,%d,%b;" e.Element.name e.Element.weight
+           e.Element.pipelinable))
+    (Comm_graph.elements g);
+  Buffer.add_string b "E:";
+  List.iter
+    (fun (u, v) -> Buffer.add_string b (Printf.sprintf "%d-%d;" u v))
+    (Rt_graph.Digraph.edges (Comm_graph.graph g));
+  Buffer.add_string b "T:";
+  List.iter
+    (fun (c : Timing.t) ->
+      Buffer.add_string b
+        (Printf.sprintf "%s,%s,%d,%d,%d,[" c.Timing.name
+           (Timing.kind_to_string c.Timing.kind)
+           c.Timing.period c.Timing.deadline c.Timing.offset);
+      Array.iter
+        (fun e -> Buffer.add_string b (Printf.sprintf "%d " e))
+        (Task_graph.node_elements c.Timing.graph);
+      Buffer.add_string b "],[";
+      List.iter
+        (fun (u, v) -> Buffer.add_string b (Printf.sprintf "%d-%d " u v))
+        (Task_graph.edges c.Timing.graph);
+      Buffer.add_string b "];")
+    m.Model.constraints;
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    (Buffer.contents b);
+  Printf.sprintf "fnv1a:%016Lx" !h
+
+let rebuild (m : Model.t) f =
+  Model.make ~comm:m.Model.comm ~constraints:(List.map f m.Model.constraints)
+
+(* Every periodic constraint released with a phase. *)
+let phased prng m =
+  rebuild m (fun (c : Timing.t) ->
+      if Timing.is_periodic c && c.Timing.period > 1 then
+        Timing.with_offset c (1 + Rt_graph.Prng.int prng (c.Timing.period - 1))
+      else c)
+
+(* Every task graph gains an isolated node on an element it does not
+   use, and lists its nodes in reverse, so names are out of order and
+   edges and isolated nodes share one graph. *)
+let widened (m : Model.t) =
+  let n = Comm_graph.n_elements m.Model.comm in
+  rebuild m (fun (c : Timing.t) ->
+      let tg = c.Timing.graph in
+      let used = Task_graph.node_elements tg in
+      match List.find_opt (fun e -> not (Array.mem e used)) (List.init n Fun.id) with
+      | None -> c
+      | Some extra ->
+          let k = Array.length used + 1 in
+          let nodes = Array.init k (fun i -> if i = 0 then extra else used.(k - 1 - i)) in
+          let moved v = k - 1 - v in
+          let c' =
+            Timing.make ~name:c.Timing.name
+              ~graph:
+                (Task_graph.create ~nodes
+                   ~edges:(List.map (fun (u, v) -> (moved u, moved v)) (Task_graph.edges tg)))
+              ~period:c.Timing.period ~deadline:c.Timing.deadline ~kind:c.Timing.kind
+          in
+          if Timing.is_periodic c then Timing.with_offset c' c.Timing.offset else c')
+
+(* A certificate that binds to [m]: Persist checks only the binding, so
+   arbitrary executions of the right width exercise the re-indexing. *)
+let synthetic_cert prng (m : Model.t) =
+  let n = Comm_graph.n_elements m.Model.comm in
+  let sched =
+    Schedule.of_array
+      (Array.init
+         (1 + Rt_graph.Prng.int prng 24)
+         (fun _ ->
+           let e = Rt_graph.Prng.int prng (n + 1) in
+           if e = n then Schedule.Idle else Schedule.Run e))
+  in
+  let exec (c : Timing.t) =
+    Array.init (Task_graph.size c.Timing.graph) (fun _ ->
+        let s = Rt_graph.Prng.int prng 50 in
+        (s, s + 1 + Rt_graph.Prng.int prng 3))
+  in
+  Certificate.make m sched
+    (List.map
+       (fun (c : Timing.t) ->
+         ( c.Timing.name,
+           if Timing.is_periodic c then Certificate.Periodic [| exec c; exec c |]
+           else Certificate.Async [ exec c; exec c; exec c ] ))
+       m.Model.constraints)
+
+let test_streamed_digests () =
+  let prng = Rt_graph.Prng.create 2020 in
+  let identity = ref 0 and round_trip = ref 0 and refused = ref 0 in
+  let offsets = ref 0 and mixed_graphs = ref 0 in
+  let outcome f =
+    match f () with d -> Ok d | exception Invalid_argument e -> Error e
+  in
+  let check_pair what (m : Model.t) cert =
+    let rendered =
+      outcome (fun () ->
+          Rt_daemon.Journal.digest_string
+            (Rt_spec.Persist.save_certificate_string m cert))
+    in
+    let streamed = outcome (fun () -> Rt_spec.Persist.certificate_digest m cert) in
+    Alcotest.check
+      Alcotest.(result string string)
+      (what ^ ": certificate digest")
+      rendered streamed;
+    match rendered with
+    | Error _ -> incr refused
+    | Ok _ ->
+        let own =
+          "{\"format\":\"rtsyn-certificate\",\"version\":1,\"digest\":"
+          ^ Rt_graph.Sink.json_string cert.Certificate.digest
+        in
+        if String.starts_with ~prefix:own (Rt_spec.Persist.save_certificate_string m cert)
+        then incr identity
+        else incr round_trip
+  in
+  let check_model what (m : Model.t) =
+    Alcotest.check Alcotest.string (what ^ ": model digest")
+      (printf_model_digest m)
+      (Certificate.digest_of_model m);
+    List.iter
+      (fun (c : Timing.t) ->
+        if c.Timing.offset > 0 then incr offsets;
+        let tg = c.Timing.graph in
+        let linked = Array.make (Task_graph.size tg) false in
+        List.iter
+          (fun (u, v) ->
+            linked.(u) <- true;
+            linked.(v) <- true)
+          (Task_graph.edges tg);
+        if Array.exists Fun.id linked && not (Array.for_all Fun.id linked) then
+          incr mixed_graphs)
+      m.Model.constraints;
+    check_pair what m (synthetic_cert prng m)
+  in
+  for i = 0 to 29 do
+    let raw =
+      match i mod 6 with
+      | 0 ->
+          Rt_workload.Model_gen.theorem3_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 4)
+            ~max_weight:2
+      | 1 ->
+          Rt_workload.Model_gen.single_op_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~max_weight:3 ~target_ratio_sum:0.7
+      | 2 ->
+          Rt_workload.Model_gen.shared_block_model prng
+            ~n_pairs:(1 + Rt_graph.Prng.int prng 2)
+            ~shared_weight:2 ~private_weight:1 ~period:16
+      | 3 ->
+          Rt_workload.Model_gen.dag_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 2)
+            ~utilization:0.5 ~periods:[ 10; 12; 20 ]
+      | 4 ->
+          Rt_workload.Model_gen.periodic_chain_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~utilization:0.6 ~periods:[ 8; 12; 24 ]
+      | _ ->
+          Rt_workload.Model_gen.unit_chain_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~n_elements:12 ~max_deadline:16
+    in
+    let variants =
+      [ ("raw", raw); ("phased", phased prng raw); ("widened", widened (phased prng raw)) ]
+    in
+    List.iter
+      (fun (v, m) ->
+        let what = Printf.sprintf "model %d %s" i v in
+        check_model what m;
+        match Rt_spec.Elaborate.load (Rt_spec.Printer.print m) with
+        | Ok m' -> check_model (what ^ " elaborated") m'
+        | Error es -> Alcotest.failf "%s: %s" what (String.concat "; " es))
+      variants;
+    (* A certificate for another model is refused on both paths. *)
+    let cert = synthetic_cert prng raw in
+    check_pair
+      (Printf.sprintf "model %d unbound" i)
+      raw
+      { cert with Certificate.digest = "fnv1a:0000000000000000" }
+  done;
+  (* Names the lexer cannot read back are refused on both paths. *)
+  List.iter
+    (fun (elem, cname) ->
+      let comm = Comm_graph.create ~elements:[ (elem, 1, true) ] ~edges:[] in
+      let m =
+        Model.make ~comm
+          ~constraints:
+            [
+              Timing.make ~name:cname ~graph:(Task_graph.singleton 0) ~period:4
+                ~deadline:4 ~kind:Timing.Periodic;
+            ]
+      in
+      check_model (Printf.sprintf "unreadable %S/%S" elem cname) m)
+    [ ("f x", "c"); ("f_x", "c-1"); ("9f", "c"); ("f\"q", "c") ];
+  checkb "periodic constraints with offsets" true (!offsets > 0);
+  checkb "task graphs with edges and isolated nodes" true (!mixed_graphs > 0);
+  checkb "the identity path was taken" true (!identity > 0);
+  checkb "the round trip was taken" true (!round_trip > 0);
+  checkb "both refusals were compared" true (!refused >= 34)
+
+(* ------------------------------------------------------------------ *)
 (* The model digest cache                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -636,6 +852,8 @@ let () =
             test_persist_unreadable_names;
           Alcotest.test_case "certify shared = per-constraint bytes" `Quick
             test_certify_shared_bytes;
+          Alcotest.test_case "streamed digests = rendered bytes" `Quick
+            test_streamed_digests;
           Alcotest.test_case "digest cache = fresh digest" `Quick
             test_digest_cache;
           Alcotest.test_case "multiproc certificate" `Quick
