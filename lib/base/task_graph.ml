@@ -1,6 +1,14 @@
 module Digraph = Rt_graph.Digraph
 
-type t = { node_elems : int array; graph : Digraph.t; signature : string }
+(* [signature] is rendered on first read and memoised here ([""] until
+   then; a rendering is never empty).  Two domains may render it at
+   once: both write equal strings, so the race is benign, which a
+   [Lazy.t] forced from two domains at once would not be. *)
+type t = {
+  node_elems : int array;
+  graph : Digraph.t;
+  mutable signature : string;
+}
 
 (* Nodes as declared, then the edge set (Digraph.edges is sorted). *)
 let render node_elems graph =
@@ -21,8 +29,7 @@ let render node_elems graph =
     (Digraph.edges graph);
   Buffer.contents b
 
-let make node_elems graph =
-  { node_elems; graph; signature = render node_elems graph }
+let make node_elems graph = { node_elems; graph; signature = "" }
 
 let create ~nodes ~edges =
   let n = Array.length nodes in
@@ -52,7 +59,13 @@ let node_elements t = Array.copy t.node_elems
 
 let graph t = t.graph
 
-let signature t = t.signature
+let signature t =
+  match t.signature with
+  | "" ->
+      let s = render t.node_elems t.graph in
+      t.signature <- s;
+      s
+  | s -> s
 
 let edges t = Digraph.edges t.graph
 

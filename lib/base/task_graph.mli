@@ -42,8 +42,8 @@ val edges : t -> (int * int) list
 (** Precedence edges over task-graph node ids. *)
 
 val signature : t -> string
-(** A rendering of the graph over global element ids, computed once
-    when the graph is built: the node-to-element mapping in node order,
+(** A rendering of the graph over global element ids, computed on the
+    first call and kept: the node-to-element mapping in node order,
     then the sorted edge set ([1,2/0>1;]).  Equal signatures mean equal
     graphs, with the same topological order and predecessor lists, so
     every analysis of one against a fixed schedule answers the same for

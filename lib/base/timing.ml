@@ -7,7 +7,7 @@ type t = {
   deadline : int;
   offset : int;
   kind : kind;
-  signature : string;
+  mutable signature_memo : string;
 }
 
 (* Name-free: kind, period, offset, task graph, deadline, as
@@ -43,7 +43,7 @@ let make ~name ~graph ~period ~deadline ~kind =
     deadline;
     offset = 0;
     kind;
-    signature = signature_of ~kind ~period ~offset:0 ~deadline graph;
+    signature_memo = "";
   }
 
 let with_offset t o =
@@ -52,13 +52,20 @@ let with_offset t o =
   else if o < 0 || o >= t.period then
     invalid_arg "Timing.with_offset: offset must lie in [0, period)"
   else
-    {
-      t with
-      offset = o;
-      signature =
-        signature_of ~kind:t.kind ~period:t.period ~offset:o
-          ~deadline:t.deadline t.graph;
-    }
+    { t with offset = o; signature_memo = "" }
+
+(* Rendered on first read and memoised, like [Task_graph.signature]:
+   two domains racing here write equal strings. *)
+let signature t =
+  match t.signature_memo with
+  | "" ->
+      let s =
+        signature_of ~kind:t.kind ~period:t.period ~offset:t.offset
+          ~deadline:t.deadline t.graph
+      in
+      t.signature_memo <- s;
+      s
+  | s -> s
 
 type class_key = kind * int * int * string
 

@@ -27,14 +27,19 @@ type t = private {
           it (their invocation instants are the environment's choice).
           [0 <= offset < period]. *)
   kind : kind;
-  signature : string;
-      (** Name-free signature, computed once by {!make} and
-          {!with_offset}: kind, period, offset, the task graph's
-          {!Task_graph.signature} and the deadline
-          ([a1024@0:3/,d=512]).  Two constraints over one
-          communication graph with equal signatures demand the same
-          executions in the same windows. *)
+  mutable signature_memo : string;
+      (** [""] until {!signature} first renders it; read {!signature},
+          not this field. *)
 }
+
+val signature : t -> string
+(** The name-free signature: kind, period, offset, the task graph's
+    {!Task_graph.signature} and the deadline ([a1024@0:3/,d=512]).
+    Rendered on the first call and kept in the constraint, so code that
+    never reads it (loading and checking a certificate) never pays for
+    it; concurrent first calls from two domains render equal strings.
+    Two constraints over one communication graph with equal signatures
+    demand the same executions in the same windows. *)
 
 val max_time : int
 (** [2^40], the largest period or deadline {!make} accepts.  The

@@ -1,91 +1,95 @@
 type verdict = Guaranteed of string | Impossible of string | Inconclusive
 
+let constraint_deadline comm (c : Timing.t) =
+  let w = Timing.computation_time comm c in
+  if w > c.deadline then
+    Error
+      (Printf.sprintf "constraint %s: computation time %d exceeds deadline %d"
+         c.name w c.deadline)
+  else
+    let cp = Task_graph.critical_path comm c.graph in
+    if cp > c.deadline then
+      Error
+        (Printf.sprintf "constraint %s: critical path %d exceeds deadline %d"
+           c.name cp c.deadline)
+    else Ok ()
+
 let deadline_check (m : Model.t) =
   let rec go = function
     | [] -> Ok ()
-    | (c : Timing.t) :: rest ->
-        let w = Timing.computation_time m.comm c in
-        if w > c.deadline then
-          Error
-            (Printf.sprintf
-               "constraint %s: computation time %d exceeds deadline %d" c.name
-               w c.deadline)
-        else
-          let cp = Task_graph.critical_path m.comm c.graph in
-          if cp > c.deadline then
-            Error
-              (Printf.sprintf
-                 "constraint %s: critical path %d exceeds deadline %d" c.name
-                 cp c.deadline)
-          else go rest
+    | c :: rest -> (
+        match constraint_deadline m.comm c with
+        | Ok () -> go rest
+        | Error _ as e -> e)
   in
   go m.constraints
 
+(* Two sound lower bounds on the long-run fraction of slots element e
+   must occupy for a constraint (C, d) using it:
+
+   - every window of d slots contains a complete execution of C and
+     hence a complete instance of e (occ >= 1), so consecutive
+     e-instances satisfy f_{k+1} <= s_k + d + 1: starts at most
+     d + 1 - w_e apart, i.e. rate >= w_e / (d + 1 - w_e);
+   - the execution's node matching is injective, so every window
+     contains occ(e, C) complete distinct instances; disjoint windows
+     use disjoint instances, giving rate >= occ * w_e / d. *)
+let element_rates comm (c : Timing.t) =
+  List.map
+    (fun e ->
+      let occ = Task_graph.occurrences c.graph e in
+      let w = Comm_graph.weight comm e in
+      let rate =
+        match c.kind with
+        | Timing.Asynchronous ->
+            (* Every window of d slots needs the instances. *)
+            let spacing =
+              if c.deadline + 1 - w <= 0 then infinity
+              else float_of_int w /. float_of_int (c.deadline + 1 - w)
+            in
+            let density = float_of_int (occ * w) /. float_of_int c.deadline in
+            Float.max spacing density
+        | Timing.Periodic ->
+            (* Only the invocation windows [kp, kp+d] need them; for
+               d <= p those windows are disjoint (one bundle of occ
+               instances per period); for d > p an instance may serve
+               several overlapping invocations. *)
+            if c.deadline <= c.period then
+              float_of_int (occ * w) /. float_of_int c.period
+            else float_of_int (occ * w) /. float_of_int (c.period + c.deadline)
+      in
+      (e, rate))
+    (Task_graph.elements_used c.graph)
+
+(* Distinct executions (and distinct constraints) may share instances,
+   so per element we take the MAX over constraints rather than the sum;
+   summing over distinct elements is then sound.  The sum runs in
+   ascending element order, so an index that keeps each element's
+   maximum reproduces it bit for bit. *)
 let rate_bound (m : Model.t) =
-  (* Per element, the largest demand rate any single constraint imposes
-     on it.  Two sound lower bounds on the long-run fraction of slots
-     element e must occupy for a constraint (C, d) using it:
-
-     - every window of d slots contains a complete execution of C and
-       hence a complete instance of e (occ >= 1), so consecutive
-       e-instances satisfy f_{k+1} <= s_k + d + 1: starts at most
-       d + 1 - w_e apart, i.e. rate >= w_e / (d + 1 - w_e);
-     - the execution's node matching is injective, so every window
-       contains occ(e, C) complete distinct instances; disjoint windows
-       use disjoint instances, giving rate >= occ * w_e / d.
-
-     Distinct executions (and distinct constraints) may share
-     instances, so per element we take the MAX over constraints rather
-     than the sum; summing over distinct elements is then sound. *)
-  let per_element = Hashtbl.create 16 in
+  let per_element = Array.make (Comm_graph.n_elements m.comm) 0.0 in
   List.iter
-    (fun (c : Timing.t) ->
+    (fun c ->
       List.iter
-        (fun e ->
-          let occ = Task_graph.occurrences c.graph e in
-          let w = Comm_graph.weight m.comm e in
-          let rate =
-            match c.kind with
-            | Timing.Asynchronous ->
-                (* Every window of d slots needs the instances. *)
-                let spacing =
-                  if c.deadline + 1 - w <= 0 then infinity
-                  else float_of_int w /. float_of_int (c.deadline + 1 - w)
-                in
-                let density =
-                  float_of_int (occ * w) /. float_of_int c.deadline
-                in
-                Float.max spacing density
-            | Timing.Periodic ->
-                (* Only the invocation windows [kp, kp+d] need them;
-                   for d <= p those windows are disjoint (one bundle of
-                   occ instances per period); for d > p an instance
-                   may serve several overlapping invocations. *)
-                if c.deadline <= c.period then
-                  float_of_int (occ * w) /. float_of_int c.period
-                else
-                  float_of_int (occ * w)
-                  /. float_of_int (c.period + c.deadline)
-          in
-          match Hashtbl.find_opt per_element e with
-          | Some r when r >= rate -> ()
-          | _ -> Hashtbl.replace per_element e rate)
-        (Task_graph.elements_used c.graph))
+        (fun (e, rate) ->
+          if rate > per_element.(e) then per_element.(e) <- rate)
+        (element_rates m.comm c))
     m.constraints;
-  Hashtbl.fold (fun _ r acc -> acc +. r) per_element 0.0
+  Array.fold_left ( +. ) 0.0 per_element
+
+let rate_check r =
+  if r > 1.0 +. 1e-9 then
+    Error
+      (Printf.sprintf
+         "element demand rate %.3f exceeds the processor (every element must \
+          recur inside every deadline window)"
+         r)
+  else Ok ()
 
 let necessary (m : Model.t) =
   match deadline_check m with
   | Error e -> Error e
-  | Ok () ->
-      let r = rate_bound m in
-      if r > 1.0 +. 1e-9 then
-        Error
-          (Printf.sprintf
-             "element demand rate %.3f exceeds the processor (every element \
-              must recur inside every deadline window)"
-             r)
-      else Ok ()
+  | Ok () -> rate_check (rate_bound m)
 
 let demand_bound (m : Model.t) t =
   List.fold_left
@@ -140,8 +144,12 @@ let edf_periodic_feasible (m : Model.t) =
       in
       List.for_all (fun t -> demand_bound m t <= t) points
 
-let sufficient (m : Model.t) =
-  if Theorem3.premises_hold m then Some "theorem3"
+(* Merge never rewrites an asynchronous constraint, so a model with one
+   fails [edf_periodic_applicable] before and after merging: neither
+   EDF test can fire, and the merge (which re-validates the whole
+   model) is skipped. *)
+let edf_sufficient (m : Model.t) =
+  if List.exists Timing.is_asynchronous m.constraints then None
   else if edf_periodic_applicable m && edf_periodic_feasible m then
     Some "edf-periodic"
   else begin
@@ -157,6 +165,9 @@ let sufficient (m : Model.t) =
     then Some "edf-periodic-merged"
     else None
   end
+
+let sufficient (m : Model.t) =
+  if Theorem3.premises_hold m then Some "theorem3" else edf_sufficient m
 
 let admit (m : Model.t) =
   match necessary m with

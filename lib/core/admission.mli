@@ -19,10 +19,17 @@ type verdict =
       (** Neither test fired; run {!Synthesis.synthesize} or
           {!Exact}. *)
 
+val constraint_deadline : Comm_graph.t -> Timing.t -> (unit, string) result
+(** Necessary, for one constraint: its computation time fits its
+    deadline ([w_i <= d_i]) and so does its critical path. *)
+
 val deadline_check : Model.t -> (unit, string) result
-(** Necessary: every constraint's computation time fits its deadline
-    ([w_i <= d_i]); for periodic constraints the critical path must
-    also fit. *)
+(** {!constraint_deadline} for every constraint; the first failure in
+    declaration order. *)
+
+val element_rates : Comm_graph.t -> Timing.t -> (int * float) list
+(** One constraint's demand rate on each element it uses, ascending by
+    element id: the per-constraint terms of {!rate_bound}. *)
 
 val rate_bound : Model.t -> float
 (** The element-rate lower bound on processor share.  For an
@@ -35,8 +42,12 @@ val rate_bound : Model.t -> float
     [occ * w_e / (p + d)] otherwise.  Instances may be shared between
     constraints (and between overlapping executions), so per element
     the {e maximum} demand over constraints is taken, and the bound is
-    the sum over elements.  A value [> 1.0] is a certificate of
-    infeasibility. *)
+    the sum over elements, in ascending element order.  A value
+    [> 1.0] is a certificate of infeasibility. *)
+
+val rate_check : float -> (unit, string) result
+(** The verdict of {!necessary} on a {!rate_bound} value: [Error] names
+    the rate when it exceeds the processor. *)
 
 val necessary : Model.t -> (unit, string) result
 (** All necessary conditions ({!deadline_check} and [rate_bound <= 1]). *)
@@ -54,6 +65,12 @@ val sufficient : Model.t -> string option
     - ["edf-periodic-merged"]: the same test passes after
       [Merge.apply] removed the element sharing (sound: a schedule for
       the merged model satisfies the original constraints). *)
+
+val edf_sufficient : Model.t -> string option
+(** The EDF conditions of {!sufficient} alone (["edf-periodic"] and
+    ["edf-periodic-merged"]).  [None] without further work when the
+    model has an asynchronous constraint: merging never rewrites one,
+    so neither test can apply. *)
 
 val admit : Model.t -> verdict
 (** Combine: {!necessary} else [Impossible]; {!sufficient} else

@@ -199,26 +199,24 @@ let interleave comm scheds =
 let largest_gauge = Rt_obs.Metrics.gauge "decompose/largest_component"
 let solve_us = Rt_obs.Metrics.histogram "decompose/solve_us"
 
+let account_pass sizes =
+  Perf.add Perf.decompose_components (List.length sizes);
+  Rt_obs.Metrics.set largest_gauge (List.fold_left max 0 sizes)
+
+let run_component f =
+  let t0 = Unix.gettimeofday () in
+  let r = Rt_obs.Tracer.span ~cat:"decompose" "decompose/component" f in
+  Rt_obs.Metrics.observe solve_us
+    (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+  r
+
 let map_components ?pool ~solve (m : Model.t) comps =
-  Perf.add Perf.decompose_components (List.length comps);
-  Rt_obs.Metrics.set largest_gauge
-    (List.fold_left
-       (fun acc c -> max acc (List.length c.constraints))
-       0 comps);
+  account_pass (List.map (fun c -> List.length c.constraints) comps);
   let tasks =
     Array.of_list
       (List.map (fun c -> (fst (representatives (submodel m c)), c)) comps)
   in
-  let run (sub, c) =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      Rt_obs.Tracer.span ~cat:"decompose" "decompose/component" (fun () ->
-          solve ~sub c)
-    in
-    Rt_obs.Metrics.observe solve_us
-      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-    r
-  in
+  let run (sub, c) = run_component (fun () -> solve ~sub c) in
   match pool with
   | Some p when Rt_par.Pool.jobs p > 1 && Array.length tasks > 1 ->
       Array.to_list (Rt_par.Pool.parallel_map p run tasks)

@@ -80,3 +80,14 @@ val map_components :
     Callers account [decompose/component_solves] (and [..._reuses])
     themselves, since only they know whether a component was answered
     from a cache. *)
+
+val account_pass : int list -> unit
+(** [account_pass sizes] records one decomposition pass over components
+    of [sizes] constraints each, as {!map_components} does: it bumps the
+    component counter and sets the largest-component gauge.  For callers
+    that drive their own component loop. *)
+
+val run_component : (unit -> 'a) -> 'a
+(** [run_component f] runs one component's solve as {!map_components}
+    runs each: inside a [decompose/component] tracer span, observed on
+    the per-component solve-time histogram. *)

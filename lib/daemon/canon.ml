@@ -1,9 +1,20 @@
 open Rt_core
 
 let of_constraints cs =
-  List.map (fun (c : Timing.t) -> c.signature) cs
+  List.map Timing.signature cs
   |> List.sort String.compare
   |> String.concat "|"
   |> Digest.string
 
-let of_model (m : Model.t) = of_constraints m.Model.constraints
+(* Component keys are fixed-width digests, so their concatenation needs
+   no separator.  One component keys the model by its own key, which
+   is what [of_constraints] gives the whole constraint list. *)
+let of_component_keys = function
+  | [ k ] -> k
+  | keys -> Digest.string (String.concat "" keys)
+
+let of_model (m : Model.t) =
+  Decompose.components m
+  |> List.map (fun (c : Decompose.component) -> of_constraints c.constraints)
+  |> List.sort String.compare
+  |> of_component_keys

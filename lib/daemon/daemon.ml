@@ -120,6 +120,16 @@ let stats_response engine ~id ~depth ~started =
       ("solve_us", Protocol.Raw (h "daemon/solve_us"));
       ("check_us", Protocol.Raw (h "daemon/check_us"));
       ("conn_request_us", Protocol.Raw (h "daemon/conn_request_us"));
+      ( "stages",
+        Protocol.Raw
+          ("{"
+          ^ String.concat ","
+              (List.map
+                 (fun name ->
+                   Printf.sprintf "\"%s\":%s" name
+                     (h ("daemon/stage/" ^ name ^ "_us")))
+                 Engine.stages)
+          ^ "}") );
     ]
 
 let dispatch cfg engine ~started ~depth ~t0 line =

@@ -12,7 +12,7 @@ type outcome =
   | Journal_failed of string
 
 type t = {
-  mutable model : Model.t;
+  mutable resident : Resident.t;
   mutable schedule : Rt_base.Schedule.t option;
   mutable cert : string;  (* digest of the persisted certificate, "" if none *)
   journal : Journal.t;
@@ -55,6 +55,51 @@ let timed h f =
   Rt_obs.Metrics.observe h (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   r
 
+(* The stages of a request, each a tracer span and a
+   daemon/stage/<name>_us histogram.  No stage runs inside another, so
+   a request's stage times add up to its time in the engine.  The
+   histogram is registered on first use: every program linking this
+   library would otherwise allocate all of them at start-up.  Two
+   domains registering at once get the same cell. *)
+type stage = {
+  name : string;
+  span : string;
+  mutable hist : Rt_obs.Metrics.histogram option;
+}
+
+let stage name = { name; span = "daemon/" ^ name; hist = None }
+
+let in_stage st f =
+  let h =
+    match st.hist with
+    | Some h -> h
+    | None ->
+        let h = Rt_obs.Metrics.histogram ("daemon/stage/" ^ st.name ^ "_us") in
+        st.hist <- Some h;
+        h
+  in
+  Rt_obs.Tracer.span ~cat:"daemon" st.span (fun () -> timed h f)
+
+let parse_st = stage "parse"
+let candidate_st = stage "candidate"
+let admission_st = stage "admission"
+let key_st = stage "key"
+let decompose_st = stage "decompose"
+let solve_st = stage "solve"
+let verify_st = stage "verify"
+let certify_st = stage "certify"
+let check_st = stage "check"
+let digest_st = stage "digest"
+let journal_st = stage "journal"
+
+let stages =
+  List.map
+    (fun st -> st.name)
+    [
+      parse_st; candidate_st; admission_st; key_st; decompose_st; solve_st;
+      verify_st; certify_st; check_st; digest_st; journal_st;
+    ]
+
 let digest_of = Rt_check.Certificate.digest_of_model
 
 (* ------------------------------------------------------------------ *)
@@ -62,18 +107,32 @@ let digest_of = Rt_check.Certificate.digest_of_model
    Checker, then the digest of the certificate as it would persist.    *)
 (* ------------------------------------------------------------------ *)
 
-let certify_checked m sched =
-  timed check_us @@ fun () ->
-  match Certify.schedule m sched with
+let certified m sched =
+  match in_stage certify_st (fun () -> Certify.schedule m sched) with
   | Error e -> Error [ "certify: " ^ e ]
   | exception Invalid_argument e -> Error [ "certify: " ^ e ]
   | Ok cert -> (
-      match Checker.check m cert with
+      match in_stage check_st (fun () -> Checker.check m cert) with
       | Error diags -> Error diags
-      | Ok () -> (
-          match Rt_spec.Persist.certificate_digest m cert with
-          | digest -> Ok digest
-          | exception Invalid_argument e -> Error [ "persist: " ^ e ]))
+      | Ok () -> Ok cert)
+
+(* [~digest:false] (a what-if, whose answer carries no digest) makes
+   the persist step's refusals without rendering or hashing, and
+   answers [""]. *)
+let certify_checked ?(digest = true) m sched =
+  timed check_us @@ fun () ->
+  Result.bind (certified m sched) @@ fun cert ->
+  in_stage digest_st @@ fun () ->
+  if digest then
+    match Rt_spec.Persist.certificate_digest m cert with
+    | d -> Ok d
+    | exception Invalid_argument e -> Error [ "persist: " ^ e ]
+  else
+    match Rt_spec.Persist.check_certificate m cert with
+    | Ok () -> Ok ""
+    | Error e -> Error [ "persist: " ^ e ]
+
+let model t = Resident.model t.resident
 
 let table_for t digest =
   match Hashtbl.find_opt t.tables digest with
@@ -92,66 +151,56 @@ let cache_store t key sched =
 (* The mutation path shared by serving and journal replay.             *)
 (* ------------------------------------------------------------------ *)
 
-let is_resident t name =
-  List.exists
-    (fun (c : Timing.t) -> c.Timing.name = name)
-    t.model.Model.constraints
-
-(* The candidate model of an admit: the resident model plus the
-   declaration elaborated against the resident communication graph.
-   Returns the declared constraint (the candidate's last) with it. *)
+(* The candidate of an admit: the declaration elaborated against the
+   resident communication graph and added to the resident index, which
+   is left as it was.  Returns the declared constraint with it. *)
 let candidate t decl =
-  match Rt_spec.Parser.parse_declaration decl with
+  match in_stage parse_st (fun () -> Rt_spec.Parser.parse_declaration decl) with
   | Error e -> Error [ e ]
   | Ok c ->
+      in_stage candidate_st @@ fun () ->
       let name = c.Rt_spec.Ast.co_name in
-      if is_resident t name then
+      if Resident.mem t.resident name then
         Error [ Printf.sprintf "constraint %S is already resident" name ]
       else
-        let appended_at = List.length t.model.Model.constraints in
-        Result.map
-          (fun (m' : Model.t) -> (List.nth m'.Model.constraints appended_at, m'))
-          (Rt_spec.Elaborate.add_constraint t.model c)
+        let comm = Resident.comm t.resident in
+        Result.bind (Rt_spec.Elaborate.constraint_decl comm c) (fun added ->
+            match Model.constraint_errors ~comm added with
+            | [] -> Ok (added, Resident.add t.resident added)
+            | errs -> Error errs)
 
-(* The model with [name] retired, its schedule and certificate digest.
+(* The index with [name] retired, its schedule and certificate digest.
    Shrinking the constraint set can only relax the problem: the resident
    schedule still verifies, only the certificate must be re-issued
    against the reduced model ("" once no constraint is left). *)
 let retired t name =
-  if not (is_resident t name) then
+  if not (Resident.mem t.resident name) then
     Error (`Rejected [ Printf.sprintf "unknown constraint %S" name ])
   else
-    let constraints' =
-      List.filter
-        (fun (c : Timing.t) -> c.Timing.name <> name)
-        t.model.Model.constraints
-    in
-    match Model.make ~comm:t.model.Model.comm ~constraints:constraints' with
-    | exception Invalid_argument e -> Error (`Rejected [ e ])
-    | m' -> (
-        match if constraints' = [] then None else t.schedule with
-        | None -> Ok (m', None, "")
-        | Some sched -> (
-            match certify_checked m' sched with
-            | Error diags -> Error (`Check_failed diags)
-            | Ok cert_digest -> Ok (m', Some sched, cert_digest)))
+    let r' = Resident.remove t.resident name in
+    match if Resident.is_empty r' then None else t.schedule with
+    | None -> Ok (r', None, "")
+    | Some sched -> (
+        match certify_checked (Resident.model r') sched with
+        | Error diags -> Error (`Check_failed diags)
+        | Ok cert_digest -> Ok (r', Some sched, cert_digest))
 
 (* Apply a certified state and seed the answer cache with it.  [key]
-   is [Canon.of_model m'] when the caller has already computed it. *)
-let commit ?key t m' sched cert =
-  t.model <- m';
+   is [Resident.key r'] when the caller has already computed it. *)
+let commit ?key t r' sched cert =
+  t.resident <- r';
   t.schedule <- sched;
   t.cert <- cert;
-  let key = match key with Some k -> k | None -> Canon.of_model m' in
+  let key = match key with Some k -> k | None -> Resident.key r' in
   Option.iter (cache_store t key) sched
 
 (* Write-ahead: the record is fsynced before the state is applied. *)
-let journal_commit ?key t record m' sched cert =
-  match Journal.append t.journal record with
+let journal_commit ?key t record r' sched cert =
+  match in_stage journal_st (fun () -> Journal.append t.journal record) with
   | Error e -> Error e
   | Ok () ->
       Rt_obs.Metrics.incr journal_records;
-      commit ?key t m' sched cert;
+      commit ?key t r' sched cert;
       Ok ()
 
 let verdict_string = function
@@ -170,6 +219,7 @@ let admission m =
 (* ------------------------------------------------------------------ *)
 
 let verifies m sched =
+  in_stage verify_st @@ fun () ->
   match Latency.verify m sched with
   | verdicts -> Latency.all_ok verdicts
   | exception Invalid_argument _ -> false
@@ -180,6 +230,7 @@ let verifies m sched =
    limitation). *)
 let plain_solve ?budget ~level t (m' : Model.t) =
   let game_table = table_for t (digest_of m') in
+  in_stage solve_st @@ fun () ->
   Synthesis.synthesize ?pool:t.pool ?budget ~game_table ~merge:false
     ~pipeline:false
     ~exact_fallback:(level = Full)
@@ -188,29 +239,36 @@ let plain_solve ?budget ~level t (m' : Model.t) =
 (* Component-local answer path: solve only the interaction components
    whose constraints are not already in the answer cache, then
    interleave and re-verify against the whole candidate model.  The
-   outer component loop is sequential (the cache is not domain-safe);
-   each component solve gets the pool.  Outcomes:
+   components, their order and their keys come from the index; a
+   submodel is built only for a component the cache misses.  The
+   component loop is sequential (the cache is not domain-safe); each
+   component solve gets the pool.  Outcomes:
      `Sched s      — whole-model verified schedule (still uncertified)
      `Definitive d — a component is exactly infeasible => so is m'
      `Timeout r    — the budget tripped mid-pass
      `Skip         — decomposition does not apply or did not pan out;
                      fall back to the undecomposed path, fail-closed. *)
-let decomposed_solve ?budget ~level t (m' : Model.t) =
-  match Decompose.components m' with
+let decomposed_solve ?budget ~level t (r' : Resident.t) =
+  match in_stage decompose_st (fun () -> Resident.components r') with
   | [] | [ _ ] -> `Skip
   | comps -> (
       let exception
         Stop of
           [ `Definitive of string list | `Timeout of string | `Give_up ]
       in
-      let solve ~sub comp =
-        let key = Canon.of_constraints comp.Decompose.constraints in
+      let comm = Resident.comm r' in
+      let solve comp =
+        let key = Resident.component_key comp in
         match Hashtbl.find_opt t.cache key with
         | Some sched ->
             Rt_par.Perf.incr Rt_par.Perf.decompose_component_reuses;
             sched
         | None -> (
             Rt_par.Perf.incr Rt_par.Perf.decompose_component_solves;
+            let constraints = Resident.constraints comp in
+            let sub, _ =
+              Decompose.representatives (Model.make ~comm ~constraints)
+            in
             let game_table = table_for t (digest_of sub) in
             match
               Synthesis.synthesize ?pool:t.pool ?budget ~game_table
@@ -224,9 +282,7 @@ let decomposed_solve ?budget ~level t (m' : Model.t) =
             | Error err when err.Synthesis.stage = "exact" ->
                 let names =
                   String.concat ", "
-                    (List.map
-                       (fun (c : Timing.t) -> c.Timing.name)
-                       comp.Decompose.constraints)
+                    (List.map (fun (c : Timing.t) -> c.Timing.name) constraints)
                 in
                 raise
                   (Stop
@@ -242,28 +298,37 @@ let decomposed_solve ?budget ~level t (m' : Model.t) =
                 | Some reason -> raise (Stop (`Timeout reason))
                 | None -> raise (Stop `Give_up)))
       in
-      try
-        let scheds = Decompose.map_components ~solve m' comps in
-        match Decompose.interleave m'.Model.comm scheds with
-        | Error _ -> `Skip
-        | Ok sched -> if verifies m' sched then `Sched sched else `Skip
-      with
-      | Stop (`Definitive d) -> `Definitive d
-      | Stop (`Timeout r) -> `Timeout r
-      | Stop `Give_up -> `Skip)
+      let interleaved =
+        in_stage solve_st @@ fun () ->
+        Decompose.account_pass (List.map Resident.size comps);
+        match
+          List.map
+            (fun comp -> Decompose.run_component (fun () -> solve comp))
+            comps
+        with
+        | scheds -> Ok (Decompose.interleave comm scheds)
+        | exception Stop stop -> Error stop
+      in
+      match interleaved with
+      | Error (`Definitive d) -> `Definitive d
+      | Error (`Timeout r) -> `Timeout r
+      | Error `Give_up | Ok (Error _) -> `Skip
+      | Ok (Ok sched) ->
+          if verifies (Resident.model r') sched then `Sched sched else `Skip)
 
-(* Synthesis for model [m'], component-wise first (one small solve per
-   interaction component instead of one big one), undecomposed as the
-   fail-closed fallback.  The last rung of the answer path, and the
-   fresh-start solve of the base system. *)
-let solve ?budget ~level t (m' : Model.t) =
-  match timed solve_us (fun () -> decomposed_solve ?budget ~level t m') with
+(* Synthesis for the indexed model [r'], component-wise first (one
+   small solve per interaction component instead of one big one),
+   undecomposed as the fail-closed fallback.  The last rung of the
+   answer path, and the fresh-start solve of the base system. *)
+let solve ?budget ~level t (r' : Resident.t) =
+  match timed solve_us (fun () -> decomposed_solve ?budget ~level t r') with
   | `Sched sched -> Ok sched
   | `Definitive diags -> Error (`Rejected diags)
   | `Timeout reason -> Error (`Timeout reason)
   | `Skip -> (
       let result =
-        timed solve_us @@ fun () -> plain_solve ?budget ~level t m'
+        timed solve_us @@ fun () ->
+        plain_solve ?budget ~level t (Resident.model r')
       in
       match result with
       | Ok plan -> Ok plan.Synthesis.schedule
@@ -273,12 +338,11 @@ let solve ?budget ~level t (m' : Model.t) =
           | None ->
               Error (`Rejected [ Format.asprintf "%a" Synthesis.pp_error err ])))
 
-(* Find a certified schedule for candidate model [m'], the resident
-   model plus the declared constraint [added]; [key] is
-   [Canon.of_model m'].  Returns (schedule, path) or a diagnosable
-   failure.  Never mutates the resident certified state
-   ([t.model]/[t.schedule]/[t.cert]); the game-table and answer caches
-   may grow.
+(* Find a certified schedule for candidate [r'], the resident index
+   plus the declared constraint [added]; [key] is [Resident.key r'].
+   Returns (schedule, path) or a diagnosable failure.  Never mutates
+   the resident certified state ([t.resident]/[t.schedule]/[t.cert]);
+   the game-table and answer caches may grow.
 
    The warm rung asks only whether the resident schedule meets
    [added]: that schedule verifies every resident constraint (every
@@ -288,14 +352,17 @@ let solve ?budget ~level t (m' : Model.t) =
    the other verdicts of a whole-model verify are known to hold.  The
    memo rung's cached schedule carries no such guarantee and is
    verified against the whole candidate. *)
-let find_schedule ?budget ~level t ~key ~(added : Timing.t) (m' : Model.t) =
+let find_schedule ?budget ~level t ~key ~(added : Timing.t) (r' : Resident.t)
+    =
   let memo_hit =
     match Hashtbl.find_opt t.cache key with
-    | Some sched when verifies m' sched -> Some sched
+    | Some sched when verifies (Resident.model r') sched -> Some sched
     | _ -> None
   in
   let meets_added sched =
-    verifies (Model.make ~comm:m'.Model.comm ~constraints:[ added ]) sched
+    verifies
+      (Model.make ~comm:(Resident.comm r') ~constraints:[ added ])
+      sched
   in
   match memo_hit with
   | Some sched ->
@@ -307,13 +374,13 @@ let find_schedule ?budget ~level t ~key ~(added : Timing.t) (m' : Model.t) =
       | Some sched when meets_added sched ->
           Rt_obs.Metrics.incr warm_hits;
           Ok (sched, "warm")
-      | _ -> Result.map (fun s -> (s, "synth")) (solve ?budget ~level t m'))
+      | _ -> Result.map (fun s -> (s, "synth")) (solve ?budget ~level t r'))
 
 let admit_or_probe ?budget ~level ~commit t decl =
   match candidate t decl with
   | Error e -> Rejected e
-  | Ok ((added : Timing.t), m') -> (
-      let verdict = Admission.admit m' in
+  | Ok ((added : Timing.t), r') -> (
+      let verdict = in_stage admission_st (fun () -> Resident.admission r') in
       match verdict with
       | Admission.Impossible cond -> Rejected [ "impossible: " ^ cond ]
       | _ when level = Analytic ->
@@ -321,8 +388,8 @@ let admit_or_probe ?budget ~level ~commit t decl =
              not touch resident state — it stays certified. *)
           Analytic_only { verdict = verdict_string verdict }
       | _ -> (
-          let key = Canon.of_model m' in
-          match find_schedule ?budget ~level t ~key ~added m' with
+          let key = in_stage key_st (fun () -> Resident.key r') in
+          match find_schedule ?budget ~level t ~key ~added r' with
           | Error (`Timeout reason) ->
               Rt_obs.Metrics.incr timeouts;
               Timed_out reason
@@ -330,7 +397,8 @@ let admit_or_probe ?budget ~level ~commit t decl =
               Rt_obs.Metrics.incr admits_rejected;
               Rejected diags
           | Ok (sched, path) -> (
-              match certify_checked m' sched with
+              let m' = Resident.model r' in
+              match certify_checked ~digest:commit m' sched with
               | Error diags ->
                   (* The trusted core vetoed the untrusted answer: roll
                      back (state was never touched) and fail closed. *)
@@ -354,7 +422,7 @@ let admit_or_probe ?budget ~level ~commit t decl =
                         }
                     in
                     match
-                      journal_commit ~key t record m' (Some sched) cert_digest
+                      journal_commit ~key t record r' (Some sched) cert_digest
                     with
                     | Error e -> Journal_failed e
                     | Ok () ->
@@ -370,22 +438,23 @@ let retire t name =
   | Error (`Check_failed diags) ->
       Rt_obs.Metrics.incr check_failures;
       Check_failed diags
-  | Ok (m', sched, cert_digest) -> (
+  | Ok (r', sched, cert_digest) -> (
       let record =
-        Journal.Retire { name; digest = digest_of m'; cert = cert_digest }
+        Journal.Retire
+          { name; digest = digest_of (Resident.model r'); cert = cert_digest }
       in
-      match journal_commit t record m' sched cert_digest with
+      match journal_commit t record r' sched cert_digest with
       | Error e -> Journal_failed e
       | Ok () -> Admitted { path = "retire"; verdict = "retired" })
 
 let reverify t =
   match t.schedule with
-  | None -> Ok (digest_of t.model)
+  | None -> Ok (digest_of (model t))
   | Some sched -> (
-      if not (verifies t.model sched) then
+      if not (verifies (model t) sched) then
         Error [ "resident schedule no longer verifies" ]
       else
-        match certify_checked t.model sched with
+        match certify_checked (model t) sched with
         | Error diags -> Error diags
         | Ok cert_digest ->
             if t.cert <> "" && t.cert <> cert_digest then
@@ -395,25 +464,25 @@ let reverify t =
                     "certificate digest drift: resident %s, recomputed %s"
                     t.cert cert_digest;
                 ]
-            else Ok (digest_of t.model))
+            else Ok (digest_of (model t)))
 
 let init_record t spec =
   Journal.Init
     {
       spec;
-      digest = digest_of t.model;
+      digest = digest_of (model t);
       schedule =
         (match t.schedule with
         | None -> ""
-        | Some s -> Rt_base.Schedule.to_string t.model.Model.comm s);
+        | Some s -> Rt_base.Schedule.to_string (model t).Model.comm s);
       cert = t.cert;
     }
 
 let snapshot t =
-  let spec = Rt_spec.Printer.print t.model in
+  let spec = Rt_spec.Printer.print (model t) in
   match Journal.truncate t.journal (init_record t spec) with
   | Error e -> Error e
-  | Ok () -> Ok (spec, digest_of t.model)
+  | Ok () -> Ok (spec, digest_of (model t))
 
 (* ------------------------------------------------------------------ *)
 (* Startup: fresh init or journal replay.                              *)
@@ -464,7 +533,7 @@ let revalidate what m sched_s cert_d =
               (check_cert what ~journaled:cert_d cd))
 
 (* Records are applied through serving's own steps — [candidate],
-   [retired], [commit] — so replay rebuilds the same models and seeds
+   [retired], [commit] — so replay rebuilds the same index and seeds
    the memo at the same points live serving did. *)
 let replay t records =
   let ( let* ) = Result.bind in
@@ -472,7 +541,8 @@ let replay t records =
     | Journal.Init _ -> Error [ "unexpected second init record" ]
     | Journal.Admit r ->
         let what = Printf.sprintf "admit %S" r.name in
-        let* _, m' = candidate t r.decl in
+        let* _, r' = candidate t r.decl in
+        let m' = Resident.model r' in
         let* () = check_digest what m' r.digest in
         let* sched =
           match revalidate what m' r.schedule r.cert with
@@ -480,19 +550,19 @@ let replay t records =
           | Ok None -> Error [ what ^ ": record has no schedule" ]
           | Error e -> Error e
         in
-        commit t m' (Some sched) r.cert;
+        commit t r' (Some sched) r.cert;
         Ok ()
     | Journal.Retire r ->
         let what = Printf.sprintf "retire %S" r.name in
-        let* m', sched, cd =
+        let* r', sched, cd =
           Result.map_error
             (fun (`Rejected e | `Check_failed e) ->
               List.map (fun x -> what ^ ": " ^ x) e)
             (retired t r.name)
         in
-        let* () = check_digest what m' r.digest in
+        let* () = check_digest what (Resident.model r') r.digest in
         let* () = check_cert what ~journaled:r.cert cd in
-        commit t m' sched cd;
+        commit t r' sched cd;
         Ok ()
   in
   let rec go i = function
@@ -518,7 +588,7 @@ let create ?pool ?startup_budget ~journal ?spec () =
       | Ok jh ->
           let mk model =
             {
-              model;
+              resident = Resident.of_model model;
               schedule = None;
               cert = "";
               journal = jh;
@@ -542,13 +612,15 @@ let create ?pool ?startup_budget ~journal ?spec () =
                           if m.Model.constraints = [] then Ok ()
                           else
                             match
-                              solve ?budget:startup_budget ~level:Full t m
+                              solve ?budget:startup_budget ~level:Full t
+                                t.resident
                             with
                             | Error (`Rejected diags) -> Error diags
                             | Error (`Timeout reason) -> Error [ reason ]
                             | Ok sched ->
                                 Result.map
-                                  (fun cd -> commit t m (Some sched) cd)
+                                  (fun cd ->
+                                    commit t t.resident (Some sched) cd)
                                   (certify_checked m sched)
                         in
                         match certified with
@@ -570,16 +642,16 @@ let create ?pool ?startup_budget ~journal ?spec () =
                     with
                     | Error e -> Error (String.concat "; " e)
                     | Ok sched ->
-                        commit t m sched i.cert;
+                        commit t t.resident sched i.cert;
                         Result.map (fun () -> t) (replay t rest)))
             | _ :: _ -> Error "journal does not start with an init record"
           in
           if Result.is_error started then Journal.close jh;
           started)
 
-let model t = t.model
 let schedule t = t.schedule
 let cert_digest t = t.cert
+let resident t = t.resident
 let memo_size t = Hashtbl.length t.cache
 let resident_tables t = Hashtbl.length t.tables
 let close t = Journal.close t.journal

@@ -1,7 +1,8 @@
 (** The daemon's resident state machine.
 
-    Holds the current model, its certified schedule, the per-model
-    resident game tables and the answer cache, and performs the
+    Holds the {!Resident} index of the current model, its certified
+    schedule, the per-model resident game tables and the answer cache,
+    and performs the
     validate → certify → check → journal → mutate sequence for every
     state change.  The invariant the module maintains is {e fail
     closed}: the resident (model, schedule) pair has always passed the
@@ -56,7 +57,10 @@ val admit : ?budget:Budget.t -> level:level -> t -> string -> outcome
     ["constraint q asynchronous separation 50 deadline 15 { f_x; }"]). *)
 
 val what_if : ?budget:Budget.t -> level:level -> t -> string -> outcome
-(** Same answer path as {!admit}, but never journals or mutates. *)
+(** Same answer path as {!admit}, but never journals or mutates: the
+    candidate index is dropped, and the certificate is certified and
+    checked by the trusted core but not digested (the answer carries
+    no digest); the persist step's refusals still apply. *)
 
 val retire : t -> string -> outcome
 (** [retire t name] removes a resident constraint.  The current
@@ -72,11 +76,23 @@ val snapshot : t -> (string * string, string) result
     returns [(spec source, model digest)]. *)
 
 val model : t -> Model.t
+
+val resident : t -> Resident.t
+(** The resident index; replaced (never updated in place) by each
+    committed admit or retire. *)
+
 val schedule : t -> Rt_base.Schedule.t option
 val cert_digest : t -> string
 val memo_size : t -> int
 val resident_tables : t -> int
 val close : t -> unit
+
+val stages : string list
+(** The request stages, in request order, each timed on the histogram
+    [daemon/stage/<name>_us] and as a [daemon/<name>] tracer span:
+    parse, candidate, admission, key, decompose, solve, verify,
+    certify, check, digest (the persist step: the certificate digest,
+    or a what-if's refusal check) and journal. *)
 
 val admission : Model.t -> string * int
 (** The analytic answer path shared with [rtsyn admit]: renders

@@ -59,8 +59,7 @@ let constraint_decl comm (c : Ast.constraint_decl) =
   match built with Some t -> Ok t | None -> Error (List.rev !errs)
 
 let add_constraint (m : Model.t) c =
-  Result.bind (constraint_decl m.comm c) (fun t ->
-      Model.create ~comm:m.comm ~constraints:(m.constraints @ [ t ]))
+  Result.bind (constraint_decl m.comm c) (Model.add m)
 
 let elaborate (sys : Ast.system) =
   let errs = ref [] in

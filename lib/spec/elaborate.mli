@@ -26,9 +26,9 @@ val constraint_decl :
 val add_constraint :
   Rt_core.Model.t -> Ast.constraint_decl -> (Rt_core.Model.t, string list) result
 (** [add_constraint m c] is [m] with [c], elaborated against [m]'s
-    communication graph, appended to its constraints and the result
-    validated.  Equivalent to printing [m], adding [c] to the source and
-    elaborating it again, without the round trip. *)
+    communication graph, appended by {!Rt_core.Model.add} (which
+    validates [c] alone).  Equivalent to printing [m], adding [c] to the
+    source and elaborating it again, without the round trip. *)
 
 val elaborate_exn : Ast.system -> Rt_core.Model.t
 (** Raising variant ([Invalid_argument] with joined diagnostics). *)

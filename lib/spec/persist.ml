@@ -220,6 +220,11 @@ let certificate_digest m cert =
   render_certificate (Rt_graph.Sink.of_fnv h) m cert;
   Rt_graph.Fnv.to_string h
 
+let check_certificate m cert =
+  match canonicalize m cert with
+  | _ -> Ok ()
+  | exception Invalid_argument e -> Error e
+
 let save_certificate_file path m cert =
   let oc = open_out path in
   Fun.protect

@@ -70,6 +70,14 @@ val certificate_digest : Rt_core.Model.t -> Rt_core.Certificate.t -> string
     streaming those bytes into the hasher instead of building them.
     The daemon journals it for every certificate it issues. *)
 
+val check_certificate :
+  Rt_core.Model.t -> Rt_core.Certificate.t -> (unit, string) result
+(** [check_certificate m cert] makes the checks {!certificate_digest}
+    makes before it renders anything: [cert] binds to [m], and [m]
+    prints and elaborates back (names the spec language can read
+    back).  [Error] carries the message {!certificate_digest} would
+    raise [Invalid_argument] with; nothing is rendered or hashed. *)
+
 val save_certificate_file :
   string -> Rt_core.Model.t -> Rt_core.Certificate.t -> unit
 (** Write {!save_certificate_string} to a file. *)

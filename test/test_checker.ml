@@ -540,6 +540,13 @@ let test_streamed_digests () =
       Alcotest.(result string string)
       (what ^ ": certificate digest")
       rendered streamed;
+    (* The refusals alone, as a what-if makes them: the same verdict
+       and message, nothing rendered. *)
+    Alcotest.check
+      Alcotest.(result unit string)
+      (what ^ ": refusal check")
+      (Result.map ignore streamed)
+      (Rt_spec.Persist.check_certificate m cert);
     match rendered with
     | Error _ -> incr refused
     | Ok _ ->

@@ -8,6 +8,7 @@
 
 open Rt_core
 module Canon = Rt_daemon.Canon
+module Resident = Rt_daemon.Resident
 module Journal = Rt_daemon.Journal
 module Engine = Rt_daemon.Engine
 module Framing = Rt_daemon.Framing
@@ -125,7 +126,7 @@ let test_canon_field_sensitivity () =
   let prng = Rt_graph.Prng.create 99 in
   for i = 1 to 40 do
     let m = random_model prng i in
-    let key = Canon.of_model m in
+    let key = Canon.of_constraints m.Model.constraints in
     let n = Rt_base.Comm_graph.n_elements m.Model.comm in
     List.iteri
       (fun j (c : Timing.t) ->
@@ -921,6 +922,335 @@ let test_engine_admission_contract () =
   checkb "verdict code is one of the contract's {0,1,5}" true
     (List.mem code [ 0; 1; 5 ])
 
+(* ------------------------------------------------------------------ *)
+(* Resident index = its oracles                                        *)
+(* ------------------------------------------------------------------ *)
+
+let verdict_string = function
+  | Admission.Guaranteed cond -> "guaranteed:" ^ cond
+  | Admission.Impossible cond -> "impossible:" ^ cond
+  | Admission.Inconclusive -> "inconclusive"
+
+let names cs = List.map (fun (c : Timing.t) -> c.Timing.name) cs
+
+(* Every view the index keeps equals its definition on the model: the
+   partition, component order and element lists of
+   Decompose.components, each component's Canon key, the whole-model
+   key and the admission verdict. *)
+let index_agrees what r =
+  let m = Resident.model r in
+  let comps = Resident.components r in
+  Alcotest.(check (list (pair (list string) (list int))))
+    (what ^ ": partition, component order and elements")
+    (List.map
+       (fun (c : Decompose.component) -> (names c.constraints, c.elements))
+       (Decompose.components m))
+    (List.map
+       (fun c -> (names (Resident.constraints c), Resident.elements c))
+       comps);
+  List.iter
+    (fun c ->
+      checks (what ^ ": component key")
+        (Canon.of_constraints (Resident.constraints c))
+        (Resident.component_key c))
+    comps;
+  checks (what ^ ": whole key") (Canon.of_model m) (Resident.key r);
+  checks (what ^ ": admission verdict")
+    (verdict_string (Admission.admit m))
+    (verdict_string (Resident.admission r))
+
+(* A random constraint over [comm]: one element, or a two-element chain
+   along a communication edge (which can join two components), with
+   timing drawn so that deadline failures, rate overloads, Theorem 3
+   and the periodic-only EDF path all occur. *)
+let random_constraint prng comm name =
+  let n = Comm_graph.n_elements comm in
+  let e = Rt_graph.Prng.int prng n in
+  let graph =
+    match Rt_graph.Digraph.succ (Comm_graph.graph comm) e with
+    | v :: _ when Rt_graph.Prng.bool prng -> Task_graph.of_chain [ e; v ]
+    | _ -> Task_graph.singleton e
+  in
+  let kind =
+    if Rt_graph.Prng.int prng 3 = 0 then Timing.Asynchronous
+    else Timing.Periodic
+  in
+  let period = Rt_graph.Prng.pick prng [ 4; 8; 10; 16; 40 ] in
+  let deadline = 1 + Rt_graph.Prng.int prng (2 * period) in
+  let c = Timing.make ~name ~graph ~period ~deadline ~kind in
+  if kind = Timing.Periodic && Rt_graph.Prng.bool prng then
+    Timing.with_offset c (Rt_graph.Prng.int prng period)
+  else c
+
+let generated_model prng i =
+  match i mod 6 with
+  | 4 ->
+      Rt_workload.Model_gen.periodic_chain_model prng
+        ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+        ~utilization:0.5 ~periods:[ 10; 20; 40 ]
+  | 5 ->
+      Rt_workload.Model_gen.unit_chain_model prng
+        ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+        ~n_elements:6 ~max_deadline:12
+  | k -> random_model prng k
+
+(* Random add / drop-candidate / remove sequences straight on the
+   index.  A candidate is checked against the definitions on a model
+   built from scratch by Model.make, and the index it came from must be
+   the very value it was before. *)
+let prop_index_oracles seed =
+  let prng = Rt_graph.Prng.create seed in
+  let m0 = generated_model prng seed in
+  let comm = m0.Model.comm in
+  let r = ref (Resident.of_model m0) in
+  let listed = ref m0.Model.constraints in
+  index_agrees "initial" !r;
+  for step = 1 to 14 do
+    let what = Printf.sprintf "seed %d step %d" seed step in
+    match (Rt_graph.Prng.int prng 4, !listed) with
+    | 0, (_ :: _ as cs) ->
+        let victim = Rt_graph.Prng.pick prng (names cs) in
+        r := Resident.remove !r victim;
+        listed := List.filter (fun (c : Timing.t) -> c.name <> victim) cs;
+        checkb (what ^ ": retired constraint gone") false
+          (Resident.mem !r victim);
+        index_agrees (what ^ " retire") !r
+    | _ ->
+        let c = random_constraint prng comm (Printf.sprintf "n%d" step) in
+        let before = !r in
+        let cand = Resident.add before c in
+        index_agrees (what ^ " candidate") cand;
+        let scratch = Model.make ~comm ~constraints:(!listed @ [ c ]) in
+        Alcotest.(check (list string))
+          (what ^ ": candidate model lists the constraints in order")
+          (names scratch.Model.constraints)
+          (names (Resident.model cand).Model.constraints);
+        checks (what ^ ": candidate verdict = Admission.admit")
+          (verdict_string (Admission.admit scratch))
+          (verdict_string (Resident.admission cand));
+        checkb (what ^ ": the parent index is untouched") true (!r == before);
+        if Rt_graph.Prng.bool prng then begin
+          r := cand;
+          listed := !listed @ [ c ]
+        end
+  done;
+  true
+
+let qcheck_index_oracles =
+  QCheck.Test.make ~count:150 ~name:"resident index = oracles"
+    QCheck.(int_bound 1_000_000)
+    prop_index_oracles
+
+(* The same agreement through the engine: random admits, what-ifs,
+   analytic-level probes, failed admits and retires, then journal
+   replay.  A what-if, a probe or a failed admit leaves the resident
+   index physically unchanged; an answer that carries a verdict carries
+   Admission.admit's verdict on the candidate. *)
+let decl_of comm (c : Timing.t) =
+  let name e = (Comm_graph.element comm e).Element.name in
+  let timing =
+    match c.kind with
+    | Timing.Periodic ->
+        Printf.sprintf "periodic period %d deadline %d%s" c.period c.deadline
+          (if c.offset > 0 then Printf.sprintf " offset %d" c.offset else "")
+    | Timing.Asynchronous ->
+        Printf.sprintf "asynchronous separation %d deadline %d" c.period
+          c.deadline
+  in
+  Printf.sprintf "constraint %s %s { %s; }" c.name timing
+    (String.concat " -> " (List.map name (Task_graph.straight_line c.graph)))
+
+let test_engine_index_oracles () =
+  let engines = ref 0 and committed = ref 0 and unchanged = ref 0 in
+  for seed = 1 to 24 do
+    let prng = Rt_graph.Prng.create (7000 + seed) in
+    (* Theorem 3 models (i mod 6 = 1) are left to the index property
+       above: their whole-model syntheses take seconds each. *)
+    let i = if seed mod 6 = 1 then seed + 1 else seed in
+    let spec = Rt_spec.Printer.print (generated_model prng i) in
+    with_temp_journal @@ fun journal ->
+    match Engine.create ~journal ~spec () with
+    | Error _ -> () (* the generated base system has no schedule *)
+    | Ok eng ->
+        incr engines;
+        index_agrees "fresh start" (Engine.resident eng);
+        for step = 1 to 10 do
+          let what = Printf.sprintf "seed %d step %d" seed step in
+          let before = Engine.resident eng in
+          let m = Engine.model eng in
+          let comm = m.Model.comm in
+          let resident = names m.Model.constraints in
+          match Rt_graph.Prng.int prng 5 with
+          | 0 when resident <> [] ->
+              let victim = Rt_graph.Prng.pick prng resident in
+              (match Engine.retire eng victim with
+              | Engine.Admitted _ -> ()
+              | _ -> Alcotest.failf "%s: retire %s failed" what victim);
+              index_agrees (what ^ " retire") (Engine.resident eng)
+          | op ->
+              let c =
+                random_constraint prng comm
+                  (if op = 1 && resident <> [] then
+                     Rt_graph.Prng.pick prng resident
+                   else Printf.sprintf "s%d_%d" seed step)
+              in
+              let expected =
+                match
+                  Model.create ~comm ~constraints:(m.Model.constraints @ [ c ])
+                with
+                | Ok scratch -> Some (verdict_string (Admission.admit scratch))
+                | Error _ -> None
+              in
+              let level =
+                if op = 2 then Engine.Analytic else Engine.Heuristic
+              in
+              let probe = op = 2 || op = 3 in
+              let outcome =
+                (if probe then Engine.what_if else Engine.admit)
+                  ~level eng (decl_of comm c)
+              in
+              let carried =
+                match outcome with
+                | Engine.Admitted { verdict; _ }
+                | Engine.Analytic_only { verdict } ->
+                    Some verdict
+                | Engine.Rejected [ d ]
+                  when String.starts_with ~prefix:"impossible: " d ->
+                    Some
+                      ("impossible:" ^ String.sub d 12 (String.length d - 12))
+                | _ -> None
+              in
+              (match carried with
+              | Some v ->
+                  checks (what ^ ": answer verdict = Admission.admit")
+                    (Option.value ~default:"(invalid candidate)" expected)
+                    v
+              | None -> ());
+              let applied =
+                (not probe)
+                && match outcome with Engine.Admitted _ -> true | _ -> false
+              in
+              if applied then incr committed
+              else begin
+                incr unchanged;
+                checkb (what ^ ": index physically unchanged") true
+                  (Engine.resident eng == before)
+              end;
+              index_agrees what (Engine.resident eng)
+        done;
+        let live = Engine.resident eng in
+        let digest = Rt_check.Certificate.digest_of_model (Engine.model eng) in
+        Engine.close eng;
+        (match Engine.create ~journal () with
+        | Error e -> Alcotest.failf "seed %d: replay: %s" seed e
+        | Ok eng ->
+            let r = Engine.resident eng in
+            index_agrees (Printf.sprintf "seed %d replayed" seed) r;
+            checks "replay reaches the live digest" digest
+              (Rt_check.Certificate.digest_of_model (Engine.model eng));
+            checks "replayed key = live key" (Resident.key live)
+              (Resident.key r);
+            Engine.close eng)
+  done;
+  checkb "most generated base systems start" true (!engines >= 12);
+  checkb "some admits commit" true (!committed > 0);
+  checkb "some requests leave the index as it was" true (!unchanged > 0)
+
+(* A what-if is answered as the admit of the same declaration would be
+   (path and verdict), but its certificate is only certified, checked
+   and put through the persist step's refusals: no digest is rendered,
+   nothing is journaled, and the resident index, certificate digest and
+   journal bytes stay as they were.  (Persist.check_certificate makes
+   exactly certificate_digest's refusals: test_checker's streamed-digest
+   test.) *)
+let test_what_if_no_digest () =
+  with_temp_journal @@ fun journal ->
+  match Engine.create ~journal ~spec:base_spec () with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok eng ->
+      let size () = (Unix.stat journal).Unix.st_size in
+      let decls =
+        [
+          decl_q "w1";
+          "constraint w2 asynchronous separation 20 deadline 8 { f_y; }";
+          "constraint w3 periodic period 20 deadline 20 { f_y; }";
+          "constraint w4 periodic period 1 deadline 1 { f_x; }";
+        ]
+      in
+      List.iter
+        (fun decl ->
+          let before = Engine.resident eng
+          and cert = Engine.cert_digest eng
+          and bytes = size () in
+          let probe = Engine.what_if ~level:Engine.Full eng decl in
+          checkb "resident index unchanged" true
+            (Engine.resident eng == before);
+          checks "certificate digest unchanged" cert (Engine.cert_digest eng);
+          Alcotest.check Alcotest.int "nothing journaled" bytes (size ());
+          match (probe, Engine.admit ~level:Engine.Full eng decl) with
+          | ( Engine.Admitted { path = p1; verdict = v1 },
+              Engine.Admitted { path = p2; verdict = v2 } ) ->
+              (* The admit may answer from the memo the what-if seeded. *)
+              checkb "what-if path is an admit path" true
+                (p1 = p2 || p2 = "memo");
+              checks "same verdict" v2 v1;
+              checkb "the admit journals" true (size () > bytes);
+              checkb "the admit digests its certificate" true
+                (Engine.cert_digest eng <> cert)
+          | Engine.Rejected d1, Engine.Rejected d2 ->
+              Alcotest.(check (list string)) "same refusal" d2 d1
+          | _ -> Alcotest.failf "what-if and admit disagree on %s" decl)
+        decls;
+      Engine.close eng
+
+(* [stats] reports every engine stage, and a served what-if is counted
+   in the stages it always runs, and not in the journal's. *)
+let test_stats_stages () =
+  with_temp_journal @@ fun journal ->
+  let cfg =
+    { Daemon.default_config with Daemon.journal; spec = Some base_spec }
+  in
+  match Daemon.create_engine cfg with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok (eng, _) ->
+      let serve line =
+        match Daemon.serve_line cfg eng ~started:0. ~depth:0 line with
+        | `Continue r | `Stop r -> r
+      in
+      let count stages name =
+        let open Rt_obs.Json in
+        match Option.bind (member name stages) (member "count") with
+        | Some n -> Option.value ~default:(-1.) (to_float n)
+        | None -> Alcotest.failf "stats lacks stage %s" name
+      in
+      let stages () =
+        match
+          Result.map (Rt_obs.Json.member "stages")
+            (Rt_obs.Json.parse (serve {|{"v":1,"id":"s","op":"stats"}|}))
+        with
+        | Ok (Some st) -> st
+        | _ -> Alcotest.fail "stats has no stages object"
+      in
+      let before = stages () in
+      ignore
+        (serve
+           (Printf.sprintf {|{"v":1,"id":"w","op":"what-if","decl":"%s"}|}
+              (decl_q "w")));
+      let after = stages () in
+      let ran name = count after name -. count before name in
+      List.iter
+        (fun name ->
+          checkb ("stage " ^ name ^ " reported") true (ran name >= 0.))
+        Engine.stages;
+      List.iter
+        (fun name -> checkb ("the what-if ran " ^ name) true (ran name >= 1.))
+        [
+          "parse"; "candidate"; "admission"; "key"; "verify"; "certify";
+          "check"; "digest";
+        ];
+      checkb "the what-if journaled nothing" true (ran "journal" = 0.);
+      Engine.close eng
+
 let () =
   Alcotest.run "rt_daemon"
     [
@@ -953,6 +1283,16 @@ let () =
             test_engine_huge_timing_rejected;
           Alcotest.test_case "long horizons answered without unrolling"
             `Quick test_engine_long_horizon;
+        ] );
+      ( "resident",
+        [
+          QCheck_alcotest.to_alcotest qcheck_index_oracles;
+          Alcotest.test_case "engine index = oracles, replay included" `Quick
+            test_engine_index_oracles;
+          Alcotest.test_case "what-if answers without a digest" `Quick
+            test_what_if_no_digest;
+          Alcotest.test_case "stats reports every stage" `Quick
+            test_stats_stages;
         ] );
       ( "framing",
         [

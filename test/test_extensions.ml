@@ -241,6 +241,118 @@ let test_admission_merged_route () =
   checkb "synthesis honours it" true
     (match Synthesis.synthesize m with Ok _ -> true | Error _ -> false)
 
+(* [Admission.sufficient] as it was before it skipped the merge on
+   models with an asynchronous constraint: a test-local copy, to show
+   the skip never changes a verdict. *)
+let old_sufficient (m : Model.t) =
+  let applicable (m : Model.t) =
+    Model.asynchronous m = []
+    && Model.elements_shared m = []
+    && List.for_all
+         (fun (c : Timing.t) -> c.offset + c.deadline <= c.period)
+         m.constraints
+    && List.for_all
+         (fun (c : Timing.t) ->
+           List.for_all
+             (fun e ->
+               Comm_graph.weight m.comm e = 1
+               || Comm_graph.pipelinable m.comm e)
+             (Task_graph.elements_used c.graph))
+         m.constraints
+  in
+  let feasible (m : Model.t) =
+    match Model.hyperperiod m with
+    | exception Rt_graph.Intmath.Overflow -> false
+    | hyper ->
+        let max_d =
+          List.fold_left
+            (fun acc (c : Timing.t) -> max acc c.deadline)
+            0 (Model.periodic m)
+        in
+        let bound = hyper + max_d in
+        List.concat_map
+          (fun (c : Timing.t) ->
+            let rec go t acc =
+              if t > bound then acc else go (t + c.period) (t :: acc)
+            in
+            go c.deadline [])
+          (Model.periodic m)
+        |> List.sort_uniq Int.compare
+        |> List.for_all (fun t -> Admission.demand_bound m t <= t)
+  in
+  if Theorem3.premises_hold m then Some "theorem3"
+  else if applicable m && feasible m then Some "edf-periodic"
+  else
+    let merged, report = Merge.apply m in
+    if report.Merge.merged_groups <> [] && applicable merged && feasible merged
+    then Some "edf-periodic-merged"
+    else None
+
+(* Mixed models: a periodic model with asynchronous copies of some of
+   its constraints, so merge groups exist beside the asynchronous
+   constraint that defeats both EDF tests. *)
+let with_async_copies g (m : Model.t) =
+  let copies =
+    List.filter_map
+      (fun (c : Timing.t) ->
+        if Rt_graph.Prng.bool g then
+          Some
+            (Timing.make ~name:(c.name ^ "_async") ~graph:c.graph
+               ~period:c.period ~deadline:c.deadline ~kind:Timing.Asynchronous)
+        else None)
+      m.constraints
+  in
+  let copies =
+    match (copies, m.constraints) with
+    | [], c :: _ ->
+        [
+          Timing.make ~name:(c.name ^ "_async") ~graph:c.graph ~period:c.period
+            ~deadline:c.deadline ~kind:Timing.Asynchronous;
+        ]
+    | cs, _ -> cs
+  in
+  Model.make ~comm:m.comm ~constraints:(m.constraints @ copies)
+
+let test_sufficient_skips_merge () =
+  let g = Rt_graph.Prng.create 2121 in
+  let mixed = ref 0 and periodic = ref 0 and fired = Hashtbl.create 4 in
+  for i = 0 to 199 do
+    let base =
+      match i mod 4 with
+      | 0 ->
+          Rt_workload.Model_gen.shared_block_model g
+            ~n_pairs:(1 + Rt_graph.Prng.int g 2)
+            ~shared_weight:(1 + Rt_graph.Prng.int g 2)
+            ~private_weight:1
+            ~period:(Rt_graph.Prng.pick g [ 12; 16; 20 ])
+      | 1 ->
+          Rt_workload.Model_gen.periodic_chain_model g ~n_constraints:3
+            ~utilization:(0.3 +. Rt_graph.Prng.float g 0.6)
+            ~periods:[ 8; 16; 32 ]
+      | 2 ->
+          Rt_workload.Model_gen.dag_model g ~n_constraints:2
+            ~utilization:0.5 ~periods:[ 10; 20 ]
+      | _ ->
+          Rt_workload.Model_gen.theorem3_model g
+            ~n_constraints:(2 + Rt_graph.Prng.int g 3)
+            ~max_weight:2
+    in
+    List.iter
+      (fun (m : Model.t) ->
+        if Model.asynchronous m = [] then incr periodic else incr mixed;
+        let old = old_sufficient m in
+        Option.iter (fun n -> Hashtbl.replace fired n ()) old;
+        Alcotest.(check (option string))
+          (Printf.sprintf "model %d: same sufficient verdict" i)
+          old (Admission.sufficient m))
+      [ base; with_async_copies g base ]
+  done;
+  checkb "periodic-only models compared" true (!periodic >= 100);
+  checkb "mixed models compared" true (!mixed >= 200);
+  List.iter
+    (fun n -> checkb (n ^ " fired") true (Hashtbl.mem fired n))
+    [ "theorem3"; "edf-periodic"; "edf-periodic-merged" ]
+
 let test_schedule_of_string_roundtrip () =
   let m = example_plan.Synthesis.model_used in
   let sched = example_plan.Synthesis.schedule in
@@ -834,6 +946,8 @@ let () =
           Alcotest.test_case "rate bound kinds" `Quick test_rate_bound_kinds;
           Alcotest.test_case "merged certificate" `Quick
             test_admission_merged_route;
+          Alcotest.test_case "sufficient = before the merge skip" `Quick
+            test_sufficient_skips_merge;
           Alcotest.test_case "offset-aware edf certificate" `Quick
             test_admission_edf_with_offsets;
           Alcotest.test_case "schedule of_string" `Quick
