@@ -8,6 +8,7 @@
 
 open Rt_core
 module Prng = Rt_graph.Prng
+module Metrics = Rt_obs.Metrics
 
 let section title =
   Printf.printf "\n==========================================================\n";
@@ -35,21 +36,14 @@ let speedup seq par = if par > 0.0 then seq /. par else 0.0
    the perf counters around them keeps the counters block snapshotted by
    [write_json] deterministic at RTSYN_JOBS=1, where CI diffs it against
    bench/baseline/ at tolerance 0. *)
-let perf_cells =
-  Rt_par.Perf.
-    [
-      windows_checked; cache_hits; cache_misses; dfs_nodes; schedules_built;
-      game_states; table_hits; table_misses; dominance_kills;
-      decompose_components; decompose_component_solves;
-      decompose_component_reuses;
-    ]
-
 let counters_preserved f =
-  let before = List.map Rt_par.Perf.value perf_cells in
+  let before =
+    List.map (fun (_, c) -> Metrics.value c) Rt_par.Perf.counters
+  in
   let r = f () in
   List.iter2
-    (fun c v0 -> Rt_par.Perf.add c (v0 - Rt_par.Perf.value c))
-    perf_cells before;
+    (fun (_, c) v0 -> Metrics.add c (v0 - Metrics.value c))
+    Rt_par.Perf.counters before;
   r
 
 (* --json support: experiments record rows into per-file sinks — E14
@@ -86,8 +80,9 @@ let write_json () =
           (String.concat ",\n" (List.rev !rows))
           (String.concat ",\n"
              (List.map
-                (fun (k, v) -> Printf.sprintf "    \"%s\": %d" k v)
-                (Rt_par.Perf.snapshot ())));
+                (fun (k, c) ->
+                  Printf.sprintf "    \"%s\": %d" k (Metrics.value c))
+                Rt_par.Perf.counters));
         close_out oc;
         Printf.printf "\nwrote %s\n%!" path
       end)
@@ -1081,9 +1076,9 @@ let e14 () =
     done;
     Option.get !last
   in
-  Rt_par.Perf.reset ();
+  Metrics.reset ();
   let (s_seq : Exact.stats), t_seq = time_wall (repeat_exact ?pool:None) in
-  let nodes_seq = Rt_par.Perf.value Rt_par.Perf.dfs_nodes / exact_iters in
+  let nodes_seq = Metrics.value Rt_par.Perf.dfs_nodes / exact_iters in
   let s_par, t_par =
     Rt_par.Pool.with_pool ~jobs (fun p ->
         time_wall (repeat_exact ~pool:p))
@@ -1168,13 +1163,13 @@ let e14 () =
     done;
     !last
   in
-  Rt_par.Perf.reset ();
+  Metrics.reset ();
   let v_ref, t_ref = time_wall (run_verify false) in
-  let w_ref = Rt_par.Perf.value Rt_par.Perf.windows_checked in
-  Rt_par.Perf.reset ();
+  let w_ref = Metrics.value Rt_par.Perf.windows_checked in
+  Metrics.reset ();
   let v_cached, t_cached = time_wall (run_verify true) in
-  let w_cached = Rt_par.Perf.value Rt_par.Perf.windows_checked in
-  let hits = Rt_par.Perf.value Rt_par.Perf.cache_hits in
+  let w_cached = Metrics.value Rt_par.Perf.windows_checked in
+  let hits = Metrics.value Rt_par.Perf.cache_hits in
   if v_ref <> v_cached then
     failwith "E14: cached verification verdicts diverged from reference";
   row "%-28s %12.4f %12.4f %8.2fx  (windows %d -> %d, memo hits %d)"
@@ -1227,9 +1222,9 @@ let e15 () =
      states expanded; the table counters say how much of the frontier
      was cut by memoization and dominance. *)
   let game_run f =
-    Rt_par.Perf.reset ();
+    Metrics.reset ();
     let stats, dt = time_wall f in
-    let v c = Rt_par.Perf.value c in
+    let v = Metrics.value in
     let hits = v Rt_par.Perf.table_hits
     and misses = v Rt_par.Perf.table_misses in
     total_table_hits := !total_table_hits + hits;
@@ -1269,12 +1264,12 @@ let e15 () =
             done;
             !best)
       in
-      Rt_par.Perf.reset ();
+      Metrics.reset ();
       let (d : Exact.stats), t_dfs =
         time_wall (fun () ->
             Exact.enumerate_atomic ~engine:`Dfs ~max_len:(2 * m_ * b) model)
       in
-      let dfs_nodes = Rt_par.Perf.value Rt_par.Perf.dfs_nodes in
+      let dfs_nodes = Metrics.value Rt_par.Perf.dfs_nodes in
       (match (g.Exact.outcome, d.Exact.outcome) with
       | Exact.Feasible _, Exact.Feasible _
       | Exact.Infeasible, Exact.Infeasible -> ()
@@ -1523,7 +1518,7 @@ let e16 () =
     | Ok eng -> eng
     | Error e -> failwith ("E16: engine create failed: " ^ e)
   in
-  Rt_par.Perf.reset ();
+  Metrics.reset ();
   let decl i =
     Printf.sprintf
       "constraint c%d asynchronous separation 10 deadline 6 { f_x; }" i
@@ -1792,7 +1787,7 @@ let e17 () =
     "E17 Compositional synthesis: component-wise game search vs the \
      whole-model game,\n    and rtsynd component-local re-admission at \
      10k resident constraints";
-  Rt_par.Perf.reset ();
+  Metrics.reset ();
   let jobs = Rt_par.Pool.default_jobs () in
   let load src =
     match Rt_spec.Elaborate.load src with
@@ -1979,9 +1974,9 @@ let e17 () =
   Fun.protect
     ~finally:(fun () -> try Sys.remove journal with Sys_error _ -> ())
   @@ fun () ->
-  let solves () = Rt_par.Perf.value Rt_par.Perf.decompose_component_solves in
+  let solves () = Metrics.value Rt_par.Perf.decompose_component_solves in
   let reuses () =
-    Rt_par.Perf.value Rt_par.Perf.decompose_component_reuses
+    Metrics.value Rt_par.Perf.decompose_component_reuses
   in
   let s0 = solves () in
   let eng, t_create =

@@ -152,7 +152,8 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:
           "Print the engine's performance counters (windows checked, cache \
-           hits, DFS nodes, wall time per stage) after the run.")
+           hits, DFS nodes, wall time per stage in microseconds) after the \
+           run.")
 
 (* --jobs beats RTSYN_JOBS beats 1.  The CLI default is sequential even
    on many-core machines so that output (including explored-state
@@ -172,9 +173,27 @@ let with_jobs jobs f =
   | 1 -> f None
   | jobs -> Rt_par.Pool.with_pool ~jobs (fun p -> f (Some p))
 
+(* The bench-pinned counters in their fixed order, then every other
+   registered metric by name; a histogram (the stage/<name> wall times
+   in microseconds among them) once it has been observed. *)
 let print_stats stats =
-  if stats then
-    Format.printf "=== engine counters ===@.%a@." Rt_par.Perf.pp ()
+  if stats then begin
+    let module M = Rt_obs.Metrics in
+    let pinned = Rt_par.Perf.counters in
+    let rest =
+      List.filter
+        (function
+          | M.Counter_v { name; _ } -> not (List.mem_assoc name pinned)
+          | M.Gauge_v _ -> true
+          | M.Histogram_v { count; _ } -> count > 0)
+        (M.snapshot ())
+    in
+    let pinned_v =
+      List.map (fun (name, c) -> M.Counter_v { name; value = M.value c }) pinned
+    in
+    Format.printf "=== engine counters ===@.";
+    List.iter (Format.printf "%a@." M.pp_stat) (pinned_v @ rest)
+  end
 
 let trace_arg =
   Arg.(

@@ -200,15 +200,12 @@ let largest_gauge = Rt_obs.Metrics.gauge "decompose/largest_component"
 let solve_us = Rt_obs.Metrics.histogram "decompose/solve_us"
 
 let account_pass sizes =
-  Perf.add Perf.decompose_components (List.length sizes);
+  Rt_obs.Metrics.add Perf.decompose_components (List.length sizes);
   Rt_obs.Metrics.set largest_gauge (List.fold_left max 0 sizes)
 
 let run_component f =
-  let t0 = Unix.gettimeofday () in
-  let r = Rt_obs.Tracer.span ~cat:"decompose" "decompose/component" f in
-  Rt_obs.Metrics.observe solve_us
-    (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-  r
+  Rt_obs.Tracer.span ~cat:"decompose" "decompose/component" (fun () ->
+      Rt_obs.Metrics.time solve_us f)
 
 let map_components ?pool ~solve (m : Model.t) comps =
   account_pass (List.map (fun c -> List.length c.constraints) comps);

@@ -149,7 +149,7 @@ let enumerate ?pool ?budget ?table ?(engine = `Game) ?(max_len = 12)
           in
           slots.(0) <- first;
           (try if prefix_ok slots 1 then dfs 1 with Aborted -> ());
-          Perf.add Perf.dfs_nodes !nodes;
+          Rt_obs.Metrics.add Perf.dfs_nodes !nodes;
           ignore (Atomic.fetch_and_add explored !local);
           !result
         in
@@ -273,7 +273,7 @@ let enumerate_atomic ?pool ?budget ?table ?(engine = `Game) ?(max_len = 16)
                in
                if all_ok 1 then dfs w0
              with Aborted -> ());
-            Perf.add Perf.dfs_nodes !nodes;
+            Rt_obs.Metrics.add Perf.dfs_nodes !nodes;
             ignore (Atomic.fetch_and_add explored !local);
             !result
           end
@@ -328,7 +328,7 @@ let solve_decomposed ?pool ?budget ?(engine = `Game) ?max_len ?max_states
   | [] | [ _ ] -> plain ?pool m
   | comps -> (
       let solve ~sub _comp =
-        Perf.incr Perf.decompose_component_solves;
+        Rt_obs.Metrics.incr Perf.decompose_component_solves;
         (* Fresh implicit table per component; the inner search runs
            sequentially — the outer fan-out owns the pool — so explored
            counts are deterministic at any job count. *)

@@ -45,6 +45,7 @@ let alloc_words_gauge = Rt_obs.Metrics.gauge "game/alloc_words"
 let ac_evictions_ctr = Rt_obs.Metrics.counter "game/antichain_evictions"
 let ac_probe_hist = Rt_obs.Metrics.histogram "game/antichain_probe_len"
 let on_probe len = Rt_obs.Metrics.observe ac_probe_hist len
+let stage_us = Rt_obs.Metrics.histogram "stage/game"
 
 (* The antichain copies a ~256-pointer bucket spine per insert, so its
    score range is compressed to at most this many buckets. *)
@@ -96,7 +97,7 @@ let try_expand tk =
     false
   end
   else begin
-    Perf.incr Perf.game_states;
+    Rt_obs.Metrics.incr Perf.game_states;
     true
   end
 
@@ -502,13 +503,13 @@ let solve_budget ?pool ?budget ?table ~max_states (m : Model.t) =
         in
         let known_dead ckey =
           if dead_mem dead ckey then begin
-            Perf.incr Perf.table_hits;
+            Rt_obs.Metrics.incr Perf.table_hits;
             true
           end
           else begin
-            Perf.incr Perf.table_misses;
+            Rt_obs.Metrics.incr Perf.table_misses;
             if Ac.covered antichain ckey then begin
-              Perf.incr Perf.dominance_kills;
+              Rt_obs.Metrics.incr Perf.dominance_kills;
               (* Promote the derived fact so future probes hit the
                  table. *)
               dead_add dead ckey;
@@ -522,7 +523,7 @@ let solve_budget ?pool ?budget ?table ~max_states (m : Model.t) =
           ignore (Ac.add antichain (Array.copy ckey))
         in
         let tk = ticker ?budget ~max_states () in
-        Perf.incr Perf.game_states;
+        Rt_obs.Metrics.incr Perf.game_states;
         let initial = Array.copy c_d in
         let init_packed = Array.make wps 0 in
         pack initial init_packed;
@@ -796,14 +797,14 @@ let make_tshared ?budget ?table:dead_table ~pooled ~antichain ~max_states () =
 
 let known_dead sh key =
   if Stbl.mem sh.dead key then begin
-    Perf.incr Perf.table_hits;
+    Rt_obs.Metrics.incr Perf.table_hits;
     true
   end
   else begin
-    Perf.incr Perf.table_misses;
+    Rt_obs.Metrics.incr Perf.table_misses;
     match sh.antichain with
     | Some ac when Ac.covered ac key ->
-        Perf.incr Perf.dominance_kills;
+        Rt_obs.Metrics.incr Perf.dominance_kills;
         (* Promote the derived fact so future probes hit the table. *)
         Stbl.add sh.dead key ();
         true
@@ -877,7 +878,7 @@ let solve_trace ?pool ?budget ?table ~max_states ~granularity (m : Model.t) =
       else None
     in
     let sh = make_tshared ?budget ?table ~pooled ~antichain ~max_states () in
-    Perf.incr Perf.game_states;
+    Rt_obs.Metrics.incr Perf.game_states;
     (* Windows ending at [l] (1-based length), over a trace spanning at
        most the last [d_max] slots.  The local trace starts at the
        first block boundary at or after [l - d_max]: a block cut by
@@ -1153,7 +1154,7 @@ let solve ?pool ?budget ?table ?(max_states = 500_000) ?(impl = `Packed)
       let asyncs = Model.asynchronous m in
       if asyncs = [] then trivially_feasible ()
       else
-        (* The bypass runs outside [Perf.time]: stage timing is for the
+        (* The bypass runs outside the stage timer: stage timing is for the
            engines, and the extra histogram write would tax exactly the
            microsecond-scale solves the bypass exists to win. *)
         match
@@ -1164,7 +1165,8 @@ let solve ?pool ?budget ?table ?(max_states = 500_000) ?(impl = `Packed)
         with
         | Some sched -> { explored = 0; outcome = Feasible sched }
         | None ->
-            Perf.time "game" @@ fun () ->
+            Rt_obs.Tracer.span ~cat:"stage" "game" @@ fun () ->
+            Rt_obs.Metrics.time stage_us @@ fun () ->
             let w0 = Gc.minor_words () in
             let result =
               if

@@ -131,14 +131,14 @@ let make_shared ?antichain ?budget ?table:dead_table
 
 let known_dead sh key =
   if Stbl.mem sh.dead key then begin
-    Perf.incr Perf.table_hits;
+    Rt_obs.Metrics.incr Perf.table_hits;
     true
   end
   else begin
-    Perf.incr Perf.table_misses;
+    Rt_obs.Metrics.incr Perf.table_misses;
     match sh.antichain with
     | Some ac when Antichain.covers ~subsumed:sh.subsumed ac key ->
-        Perf.incr Perf.dominance_kills;
+        Rt_obs.Metrics.incr Perf.dominance_kills;
         (* Promote the derived fact so future probes hit the table. *)
         Stbl.add sh.dead key ();
         true
@@ -171,7 +171,7 @@ let try_expand sh =
     false
   end
   else begin
-    Perf.incr Perf.game_states;
+    Rt_obs.Metrics.incr Perf.game_states;
     true
   end
 
@@ -182,6 +182,7 @@ let explored_of sh = min (Atomic.get sh.expanded) sh.max_states
    [default_table_cap]). *)
 let table_size_gauge = Rt_obs.Metrics.gauge "game/table_size"
 let table_evictions_ctr = Rt_obs.Metrics.counter "game/table_evictions"
+let stage_us = Rt_obs.Metrics.histogram "stage/game"
 
 let publish_table_stats sh =
   Rt_obs.Metrics.set table_size_gauge (Stbl.length sh.dead);
@@ -330,7 +331,7 @@ let solve_budget ?pool ?budget ?table ~max_states (m : Model.t) =
         make_shared ~antichain:(Antichain.create ()) ?budget ?table
           ~subsumed:budget_subsumed ~max_states ()
       in
-      Perf.incr Perf.game_states;
+      Rt_obs.Metrics.incr Perf.game_states;
       let best = Rt_par.Bound.create () in
       let n_el = Array.length elements in
       let exception Cycle of action list in
@@ -504,7 +505,7 @@ let solve_trace ?pool ?budget ?table ~max_states ~granularity (m : Model.t) =
         ?antichain:(if unit_weights then Some (Antichain.create ()) else None)
         ?budget ?table ~subsumed:residue_subsumed ~max_states ()
     in
-    Perf.incr Perf.game_states;
+    Rt_obs.Metrics.incr Perf.game_states;
     (* Windows ending at [l] (1-based length), over a trace spanning at
        most the last [d_max] slots.  The local trace starts at the
        first block boundary at or after [l - d_max]: a block cut by
@@ -691,7 +692,8 @@ let solve_trace ?pool ?budget ?table ~max_states ~granularity (m : Model.t) =
 
 let solve ?pool ?budget ?table ?(max_states = 500_000) ~granularity
     (m : Model.t) =
-  Perf.time "game" @@ fun () ->
+  Rt_obs.Tracer.span ~cat:"stage" "game" @@ fun () ->
+  Rt_obs.Metrics.time stage_us @@ fun () ->
   let asyncs = Model.asynchronous m in
   if asyncs = [] then trivially_feasible ()
   else if

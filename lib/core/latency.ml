@@ -76,7 +76,7 @@ let finishes_of ctx =
 (* Core backtracking search; on success the witness assignment is left
    in [ctx.scratch.assignment]. *)
 let search ctx ~t0 ~t1 =
-  Perf.incr Perf.windows_checked;
+  Rt_obs.Metrics.incr Perf.windows_checked;
   let sc = ctx.scratch in
   let assignment = sc.assignment in
   Array.fill assignment 0 (Array.length assignment) None;
@@ -451,10 +451,10 @@ let periodic_response_ctx ?memo ctx ~limit (c : Timing.t) ~super =
         let r = t mod memo.m_cycle in
         match Hashtbl.find_opt memo.m_tbl r with
         | Some rel ->
-            Perf.incr Perf.cache_hits;
+            Rt_obs.Metrics.incr Perf.cache_hits;
             Option.map (fun d -> t + d) rel
         | None ->
-            Perf.incr Perf.cache_misses;
+            Rt_obs.Metrics.incr Perf.cache_misses;
             let answer = next_completion_ctx ctx ~limit ~from:t in
             memo_store memo r (Option.map (fun f -> f - t) answer);
             answer)

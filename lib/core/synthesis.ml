@@ -121,7 +121,7 @@ let prepare ~merge ~pipeline (m : Model.t) =
 
 (* Stage 4 for one candidate round: dispatch everything with EDF over
    the hyperperiod and verify.  Self-contained and effect-free apart
-   from Perf counters and the shared budget, so rounds can be evaluated
+   from the work counters and the shared budget, so rounds can be evaluated
    concurrently. *)
 let attempt ?budget ~backend ~max_hyperperiod (p : prep) r =
   let nth_clamped l r = List.nth l (min r (List.length l - 1)) in
@@ -154,7 +154,7 @@ let attempt ?budget ~backend ~max_hyperperiod (p : prep) r =
       with
       | Error _ -> None
       | Ok sched ->
-          Rt_par.Perf.incr Rt_par.Perf.schedules_built;
+          Rt_obs.Metrics.incr Rt_par.Perf.schedules_built;
           let verdicts = Latency.verify m sched in
           if Latency.all_ok verdicts then
             Some
@@ -237,6 +237,9 @@ let exact_rescue ?pool ?budget ?game_table (m : Model.t) granularity
         }
   | Exact.Unknown _ -> Error primary_error
 
+let synthesis_us = Rt_obs.Metrics.histogram "stage/synthesis"
+let decompose_us = Rt_obs.Metrics.histogram "stage/decompose"
+
 let synthesize_plain ?pool ?budget ?game_table ~merge ~pipeline ~backend
     ~max_hyperperiod ~exact_fallback (m : Model.t) =
   (* Preference order: every round of the merged variant, cheapest
@@ -292,7 +295,8 @@ let synthesize_plain ?pool ?budget ?game_table ~merge ~pipeline ~backend
         found
   in
   let found =
-    Rt_par.Perf.time "synthesis" (fun () ->
+    Rt_obs.Tracer.span ~cat:"stage" "synthesis" @@ fun () ->
+    Rt_obs.Metrics.time synthesis_us (fun () ->
         match pool with
         | Some pl when Rt_par.Pool.jobs pl > 1 && Array.length tasks > 1 ->
             Rt_par.Pool.parallel_find_first pl run tasks
@@ -338,7 +342,7 @@ let synthesize_plain ?pool ?budget ?game_table ~merge ~pipeline ~backend
 let synthesize_decomposed ?pool ?budget ~merge ~backend ~max_hyperperiod
     ~exact_fallback (m : Model.t) comps =
   let solve ~sub comp =
-    Rt_par.Perf.incr Rt_par.Perf.decompose_component_solves;
+    Rt_obs.Metrics.incr Rt_par.Perf.decompose_component_solves;
     (* Component solves run with ~pipeline:false: the pipelining rewrite
        EXTENDS the communication graph per component, which would break
        the shared element-id space the interleave relies on.  The outer
@@ -414,7 +418,8 @@ let synthesize ?pool ?budget ?game_table ?(merge = true) ?(pipeline = true)
     | [] | [ _ ] -> plain () (* coupled or empty: nothing to split *)
     | comps -> (
         match
-          Rt_par.Perf.time "decompose" (fun () ->
+          Rt_obs.Tracer.span ~cat:"stage" "decompose" @@ fun () ->
+          Rt_obs.Metrics.time decompose_us (fun () ->
               synthesize_decomposed ?pool ?budget ~merge ~backend
                 ~max_hyperperiod ~exact_fallback m comps)
         with

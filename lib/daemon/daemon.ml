@@ -132,7 +132,7 @@ let stats_response engine ~id ~depth ~started =
           ^ "}") );
     ]
 
-let dispatch cfg engine ~started ~depth ~t0 line =
+let dispatch cfg engine ~started ~depth line =
   match Protocol.parse line with
   | Error (kind, msg) ->
       `Continue (Protocol.error ~id:(Protocol.parse_request_id line) ~kind msg)
@@ -143,9 +143,10 @@ let dispatch cfg engine ~started ~depth ~t0 line =
       match req.Protocol.op with
       | Protocol.Admit decl ->
           let budget = mk_budget cfg req in
-          let o = Engine.admit ?budget ~level engine decl in
-          Rt_obs.Metrics.observe admit_us
-            (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
+          let o =
+            Rt_obs.Metrics.time admit_us (fun () ->
+                Engine.admit ?budget ~level engine decl)
+          in
           `Continue (outcome_response ~id ~level o)
       | Protocol.What_if decl ->
           let budget = mk_budget cfg req in
@@ -175,22 +176,17 @@ let dispatch cfg engine ~started ~depth ~t0 line =
 
 let serve_line cfg engine ~started ~depth line =
   Rt_obs.Metrics.incr requests_ctr;
-  let t0 = Unix.gettimeofday () in
-  let response =
-    (* The engine applies a mutation only after it is journaled, which
-       is the last step of an answer: a request that raises has touched
-       no resident state, so it is answered and the daemon serves on. *)
-    try dispatch cfg engine ~started ~depth ~t0 line
-    with e ->
-      `Continue
-        (Protocol.error
-           ~id:(Protocol.parse_request_id line)
-           ~kind:"internal"
-           ("uncaught exception: " ^ Printexc.to_string e))
-  in
-  Rt_obs.Metrics.observe request_us
-    (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-  response
+  Rt_obs.Metrics.time request_us @@ fun () ->
+  (* The engine applies a mutation only after it is journaled, which
+     is the last step of an answer: a request that raises has touched
+     no resident state, so it is answered and the daemon serves on. *)
+  try dispatch cfg engine ~started ~depth line
+  with e ->
+    `Continue
+      (Protocol.error
+         ~id:(Protocol.parse_request_id line)
+         ~kind:"internal"
+         ("uncaught exception: " ^ Printexc.to_string e))
 
 let create_engine cfg =
   let pool =

@@ -49,36 +49,21 @@ let replayed_records = Rt_obs.Metrics.counter "daemon/replayed_records"
 let solve_us = Rt_obs.Metrics.histogram "daemon/solve_us"
 let check_us = Rt_obs.Metrics.histogram "daemon/check_us"
 
-let timed h f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  Rt_obs.Metrics.observe h (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-  r
-
 (* The stages of a request, each a tracer span and a
    daemon/stage/<name>_us histogram.  No stage runs inside another, so
-   a request's stage times add up to its time in the engine.  The
-   histogram is registered on first use: every program linking this
-   library would otherwise allocate all of them at start-up.  Two
-   domains registering at once get the same cell. *)
-type stage = {
-  name : string;
-  span : string;
-  mutable hist : Rt_obs.Metrics.histogram option;
-}
+   a request's stage times add up to its time in the engine. *)
+type stage = { name : string; span : string; hist : Rt_obs.Metrics.histogram }
 
-let stage name = { name; span = "daemon/" ^ name; hist = None }
+let stage name =
+  {
+    name;
+    span = "daemon/" ^ name;
+    hist = Rt_obs.Metrics.histogram ("daemon/stage/" ^ name ^ "_us");
+  }
 
 let in_stage st f =
-  let h =
-    match st.hist with
-    | Some h -> h
-    | None ->
-        let h = Rt_obs.Metrics.histogram ("daemon/stage/" ^ st.name ^ "_us") in
-        st.hist <- Some h;
-        h
-  in
-  Rt_obs.Tracer.span ~cat:"daemon" st.span (fun () -> timed h f)
+  Rt_obs.Tracer.span ~cat:"daemon" st.span (fun () ->
+      Rt_obs.Metrics.time st.hist f)
 
 let parse_st = stage "parse"
 let candidate_st = stage "candidate"
@@ -120,7 +105,7 @@ let certified m sched =
    the persist step's refusals without rendering or hashing, and
    answers [""]. *)
 let certify_checked ?(digest = true) m sched =
-  timed check_us @@ fun () ->
+  Rt_obs.Metrics.time check_us @@ fun () ->
   Result.bind (certified m sched) @@ fun cert ->
   in_stage digest_st @@ fun () ->
   if digest then
@@ -261,10 +246,10 @@ let decomposed_solve ?budget ~level t (r' : Resident.t) =
         let key = Resident.component_key comp in
         match Hashtbl.find_opt t.cache key with
         | Some sched ->
-            Rt_par.Perf.incr Rt_par.Perf.decompose_component_reuses;
+            Rt_obs.Metrics.incr Rt_par.Perf.decompose_component_reuses;
             sched
         | None -> (
-            Rt_par.Perf.incr Rt_par.Perf.decompose_component_solves;
+            Rt_obs.Metrics.incr Rt_par.Perf.decompose_component_solves;
             let constraints = Resident.constraints comp in
             let sub, _ =
               Decompose.representatives (Model.make ~comm ~constraints)
@@ -321,13 +306,16 @@ let decomposed_solve ?budget ~level t (r' : Resident.t) =
    undecomposed as the fail-closed fallback.  The last rung of the
    answer path, and the fresh-start solve of the base system. *)
 let solve ?budget ~level t (r' : Resident.t) =
-  match timed solve_us (fun () -> decomposed_solve ?budget ~level t r') with
+  match
+    Rt_obs.Metrics.time solve_us (fun () ->
+        decomposed_solve ?budget ~level t r')
+  with
   | `Sched sched -> Ok sched
   | `Definitive diags -> Error (`Rejected diags)
   | `Timeout reason -> Error (`Timeout reason)
   | `Skip -> (
       let result =
-        timed solve_us @@ fun () ->
+        Rt_obs.Metrics.time solve_us @@ fun () ->
         plain_solve ?budget ~level t (Resident.model r')
       in
       match result with

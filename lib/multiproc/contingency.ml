@@ -75,6 +75,8 @@ let scenario_for ?criticality ?derivation ~msg_cost ~arq_slack
               | Some s -> Ok s
               | None -> Error full_err)))
 
+let stage_us = Rt_obs.Metrics.histogram "stage/contingency"
+
 let synthesize ?pool ?criticality ?derivation ?msg_cost
     ?(max_hyperperiod = 1_000_000) ?(migration = 0) ~detect_bound (m : Model.t)
     (nominal : Msched.result) =
@@ -102,7 +104,8 @@ let synthesize ?pool ?criticality ?derivation ?msg_cost
        is a deterministic function of its index, so the order-preserving
        parallel map yields the same table the sequential loop builds. *)
     let scenarios =
-      Rt_par.Perf.time "contingency" (fun () ->
+      Rt_obs.Tracer.span ~cat:"stage" "contingency" @@ fun () ->
+      Rt_obs.Metrics.time stage_us (fun () ->
           match pool with
           | Some p when Rt_par.Pool.jobs p > 1 && n_procs > 1 ->
               Rt_par.Pool.parallel_map p build (Array.init n_procs Fun.id)

@@ -8,13 +8,17 @@
      index = 32 + (k - 5) * 16 + ((v lsr (k - 4)) - 16)
 
    and the bucket's upper bound is ((high + 1) lsl (k - 4)) - 1.  With
-   62-bit ints k tops out at 62, giving 32 + 58*16 = 960 buckets. *)
+   62-bit ints k tops out at 62, giving 32 + 58*16 = 960 buckets.
+
+   The 960 boxed cells (about 23 KB) are allocated on a histogram's
+   first [observe], not when it is registered: most programs register
+   histograms at module initialisation that they never observe. *)
 
 type counter = int Atomic.t
 type gauge = int Atomic.t
 
 type histogram = {
-  counts : int Atomic.t array;
+  counts : int Atomic.t array Atomic.t; (* [||] until the first observe *)
   total : int Atomic.t;
   sum : int Atomic.t;
   hmin : int Atomic.t; (* max_int when empty *)
@@ -58,10 +62,7 @@ let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let lock = Mutex.create ()
 
 let register name make classify =
-  Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
+  Mutex.protect lock (fun () ->
       match Hashtbl.find_opt registry name with
       | Some m -> (
           match classify m with
@@ -71,12 +72,10 @@ let register name make classify =
                 (Printf.sprintf
                    "Rt_obs.Metrics: %S already registered with another kind"
                    name))
-      | None ->
+      | None -> (
           let m = make () in
           Hashtbl.add registry name m;
-          (match classify m with
-          | Some cell -> cell
-          | None -> assert false))
+          match classify m with Some cell -> cell | None -> assert false))
 
 let counter name =
   register name
@@ -90,7 +89,7 @@ let gauge name =
 
 let make_histogram () =
   {
-    counts = Array.init n_buckets (fun _ -> Atomic.make 0);
+    counts = Atomic.make [||];
     total = Atomic.make 0;
     sum = Atomic.make 0;
     hmin = Atomic.make max_int;
@@ -120,13 +119,38 @@ let rec atomic_max cell v =
   else if Atomic.compare_and_set cell cur v then ()
   else atomic_max cell v
 
+(* The bucket array, allocated on first use.  Domains that observe a
+   fresh histogram at once may each allocate one, but only the array
+   published by the CAS is ever written, so no count is lost. *)
+let buckets h =
+  let cur = Atomic.get h.counts in
+  if Array.length cur > 0 then cur
+  else
+    let fresh = Array.init n_buckets (fun _ -> Atomic.make 0) in
+    if Atomic.compare_and_set h.counts cur fresh then fresh
+    else Atomic.get h.counts
+
 let observe h v =
   let v = if v < 0 then 0 else v in
-  ignore (Atomic.fetch_and_add h.counts.(bucket_of_value v) 1);
+  ignore (Atomic.fetch_and_add (buckets h).(bucket_of_value v) 1);
   ignore (Atomic.fetch_and_add h.total 1);
   ignore (Atomic.fetch_and_add h.sum v);
   atomic_min h.hmin v;
   atomic_max h.hmax v
+
+let time h f =
+  let t0 = Unix.gettimeofday () in
+  let record () =
+    observe h (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+  in
+  match f () with
+  | r ->
+      record ();
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      record ();
+      Printexc.raise_with_backtrace e bt
 
 let h_count h = Atomic.get h.total
 let h_sum h = Atomic.get h.sum
@@ -141,9 +165,10 @@ let quantile h q =
       let r = int_of_float (ceil (q *. float_of_int n)) in
       max 1 (min n r)
     in
+    let counts = Atomic.get h.counts in
     let cum = ref 0 and found = ref None and i = ref 0 in
-    while !found = None && !i < n_buckets do
-      cum := !cum + Atomic.get h.counts.(!i);
+    while !found = None && !i < Array.length counts do
+      cum := !cum + Atomic.get counts.(!i);
       if !cum >= rank then found := Some (bound_of_bucket !i);
       i := !i + 1
     done;
@@ -165,10 +190,8 @@ type stat =
 
 let snapshot () =
   let items =
-    Mutex.lock lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock lock)
-      (fun () -> Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [])
+    Mutex.protect lock (fun () ->
+        Hashtbl.fold (fun name m acc -> (name, m) :: acc) registry [])
   in
   items
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -191,31 +214,22 @@ let snapshot () =
                })
 
 let reset () =
-  Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
+  Mutex.protect lock (fun () ->
       Hashtbl.iter
         (fun _ m ->
           match m with
           | C c | G c -> Atomic.set c 0
           | H h ->
-              Array.iter (fun cell -> Atomic.set cell 0) h.counts;
+              Array.iter (fun cell -> Atomic.set cell 0) (Atomic.get h.counts);
               Atomic.set h.total 0;
               Atomic.set h.sum 0;
               Atomic.set h.hmin max_int;
               Atomic.set h.hmax (-1))
         registry)
 
-let pp ppf () =
-  List.iter
-    (function
-      | Counter_v { name; value } ->
-          Format.fprintf ppf "%-28s %d@." name value
-      | Gauge_v { name; value } ->
-          Format.fprintf ppf "%-28s %d (gauge)@." name value
-      | Histogram_v { name; count; sum; min; max; p50; p95; p99 } ->
-          Format.fprintf ppf
-            "%-28s n=%d sum=%d min=%d max=%d p50=%d p95=%d p99=%d@." name
-            count sum min max p50 p95 p99)
-    (snapshot ())
+let pp_stat ppf = function
+  | Counter_v { name; value } | Gauge_v { name; value } ->
+      Format.fprintf ppf "%-18s %d" name value
+  | Histogram_v { name; count; sum; min; max; p50; p95; p99 } ->
+      Format.fprintf ppf "%-18s n=%d sum=%d min=%d max=%d p50=%d p95=%d p99=%d"
+        name count sum min max p50 p95 p99

@@ -1,10 +1,11 @@
 (** Dynamically registered metrics: counters, gauges and histograms.
 
-    This registry generalizes the hard-coded counter list that used to live
-    in {!Rt_par.Perf}: any module can mint a named metric at runtime, all
-    cells are updated with [Atomic] operations (safe to bump from any
-    domain of a {!Rt_par.Pool} without locks on the hot path), and a
-    snapshot can be rendered or embedded in bench JSON.
+    The one way the program counts and times: any module can mint a
+    named metric, all cells are updated with [Atomic] operations (safe
+    to bump from any domain of a {!Rt_par.Pool} without locks on the hot
+    path), and a snapshot can be rendered or embedded in bench JSON.
+    Register a metric once, as a module-level value: registration takes
+    the registry mutex.
 
     Names are global: [counter "x"] returns the same cell everywhere.
     Registering the same name with a different metric kind raises
@@ -38,10 +39,18 @@ val gauge_value : gauge -> int
     power of two, so any recorded value is over-approximated by its
     bucket's upper bound with at most ~6% relative error.  All cells are
     [Atomic], so concurrent [observe] calls never tear or drop counts —
-    this is what makes domain-safe stage timing possible. *)
+    this is what makes domain-safe stage timing possible.  The buckets
+    are allocated on the first [observe], so registering a histogram
+    that is never observed costs a few words. *)
 
 val observe : histogram -> int -> unit
 (** [observe h v] records [v] (negative values clamp to 0). *)
+
+val time : histogram -> (unit -> 'a) -> 'a
+(** [time h f] runs [f ()] and records its wall-clock duration in
+    microseconds on [h], also when [f] raises.  Timed sections nest
+    dynamically and overlap rather than partition: a section entered
+    concurrently on [k] domains records [k] observations. *)
 
 val h_count : histogram -> int
 val h_sum : histogram -> int
@@ -84,7 +93,9 @@ val snapshot : unit -> stat list
 
 val reset : unit -> unit
 (** Zero every registered metric.  Registrations (and the cells returned
-    by earlier [counter]/[gauge]/[histogram] calls) stay valid. *)
+    by earlier [counter]/[gauge]/[histogram] calls) stay valid; an
+    unobserved histogram is left as it is. *)
 
-val pp : Format.formatter -> unit -> unit
-(** Render the snapshot, one metric per line. *)
+val pp_stat : Format.formatter -> stat -> unit
+(** Render one metric on one line: a counter or gauge as its value, a
+    histogram as its count, sum, min, max and quantiles. *)

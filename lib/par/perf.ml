@@ -1,144 +1,24 @@
-(* Thin compatibility facade over Rt_obs.Metrics.
+(* Each counter is declared once: [counter] registers it and appends it
+   to [counters], which keeps the declaration order. *)
 
-   The counters below used to be a hard-coded list of atomics here; they
-   are now registered cells in the Rt_obs.Metrics registry under the same
-   names, so the engines keep their zero-migration [Perf.incr] call sites
-   while rtsyn --stats / bench --json / new tooling can read everything
-   (including dynamically added metrics) from one place. *)
+let declared = ref []
 
-module Metrics = Rt_obs.Metrics
+let counter name =
+  let c = Rt_obs.Metrics.counter name in
+  declared := (name, c) :: !declared;
+  c
 
-type counter = Metrics.counter
-
-let windows_checked = Metrics.counter "windows_checked"
-let cache_hits = Metrics.counter "cache_hits"
-let cache_misses = Metrics.counter "cache_misses"
-let dfs_nodes = Metrics.counter "dfs_nodes"
-let schedules_built = Metrics.counter "schedules_built"
-let game_states = Metrics.counter "game_states"
-let table_hits = Metrics.counter "table_hits"
-let table_misses = Metrics.counter "table_misses"
-let dominance_kills = Metrics.counter "dominance_kills"
-let decompose_components = Metrics.counter "decompose/components"
-let decompose_component_solves = Metrics.counter "decompose/component_solves"
-let decompose_component_reuses = Metrics.counter "decompose/component_reuses"
-
-let all_counters =
-  [
-    ("windows_checked", windows_checked);
-    ("cache_hits", cache_hits);
-    ("cache_misses", cache_misses);
-    ("dfs_nodes", dfs_nodes);
-    ("schedules_built", schedules_built);
-    ("game_states", game_states);
-    ("table_hits", table_hits);
-    ("table_misses", table_misses);
-    ("dominance_kills", dominance_kills);
-    ("decompose/components", decompose_components);
-    ("decompose/component_solves", decompose_component_solves);
-    ("decompose/component_reuses", decompose_component_reuses);
-  ]
-
-let incr = Metrics.incr
-let add = Metrics.add
-let value = Metrics.value
-
-let stage_prefix = "stage/"
-
-(* Stage timing lives on registry histograms now: one observation per
-   completed span, nanoseconds.  Histogram cells are atomic, so spans
-   completing concurrently on pool domains never tear or drop time, and
-   the p50/p95/p99 of individual span durations come for free.  Each
-   span is also emitted to the tracer (category "stage") when tracing is
-   on. *)
-(* Stage-name -> histogram cell memo: [Metrics.histogram] takes the
-   registry mutex on every call, which shows up on microsecond-scale
-   solves ([time] sits on the game engine's entry path).  The memo is an
-   immutable assoc list behind an [Atomic] — lock-free reads, CAS
-   insert on first use; [Metrics.reset] zeroes cells in place so cached
-   cells never go stale. *)
-let stage_cells : (string * Metrics.histogram) list Atomic.t = Atomic.make []
-
-let stage_cell name =
-  let rec find = function
-    | (n, h) :: tl -> if String.equal n name then Some h else find tl
-    | [] -> None
-  in
-  match find (Atomic.get stage_cells) with
-  | Some h -> h
-  | None ->
-      let h = Metrics.histogram (stage_prefix ^ name) in
-      let rec publish () =
-        let cur = Atomic.get stage_cells in
-        match find cur with
-        | Some h -> h
-        | None ->
-            if Atomic.compare_and_set stage_cells cur ((name, h) :: cur) then
-              h
-            else publish ()
-      in
-      publish ()
-
-let time name f =
-  let h = stage_cell name in
-  let t0 = Unix.gettimeofday () in
-  Rt_obs.Tracer.span ~cat:"stage" name (fun () ->
-      Fun.protect
-        ~finally:(fun () ->
-          let dt = Unix.gettimeofday () -. t0 in
-          Metrics.observe h (int_of_float (dt *. 1e9)))
-        f)
-
-let stage_seconds () =
-  List.filter_map
-    (function
-      | Metrics.Histogram_v { name; sum; _ }
-        when String.starts_with ~prefix:stage_prefix name ->
-          let stage =
-            String.sub name (String.length stage_prefix)
-              (String.length name - String.length stage_prefix)
-          in
-          Some (stage, float_of_int sum /. 1e9)
-      | _ -> None)
-    (Metrics.snapshot ())
-
-let snapshot () = List.map (fun (n, c) -> (n, Metrics.value c)) all_counters
-let reset () = Metrics.reset ()
-
-(* Registry metrics beyond the fixed counter list and the stage
-   histograms — e.g. the game engine's game/alloc_words gauge,
-   game/antichain_evictions counter and game/antichain_probe_len
-   histogram.  Shown by [pp] (rtsyn --stats) but deliberately not part
-   of [all_counters], which the bench JSON counter gates pin. *)
-let extras () =
-  let fixed = List.map fst all_counters in
-  List.filter
-    (fun s ->
-      match s with
-      | Metrics.Counter_v { name; _ } -> not (List.mem name fixed)
-      | Metrics.Gauge_v _ -> true
-      | Metrics.Histogram_v { name; _ } ->
-          not (String.starts_with ~prefix:stage_prefix name))
-    (Metrics.snapshot ())
-
-let pp fmt () =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (name, v) -> Format.fprintf fmt "%-18s %d@," name v)
-    (snapshot ());
-  List.iter
-    (fun s ->
-      match s with
-      | Metrics.Counter_v { name; value } ->
-          Format.fprintf fmt "%-18s %d@," name value
-      | Metrics.Gauge_v { name; value } ->
-          Format.fprintf fmt "%-18s %d@," name value
-      | Metrics.Histogram_v { name; count; p50; p95; max; _ } ->
-          if count > 0 then
-            Format.fprintf fmt "%-18s n=%d p50=%d p95=%d max=%d@," name count
-              p50 p95 max)
-    (extras ());
-  List.iter
-    (fun (name, s) -> Format.fprintf fmt "%-18s %.4fs (wall)@," name s)
-    (stage_seconds ());
-  Format.fprintf fmt "@]"
+let windows_checked = counter "windows_checked"
+let cache_hits = counter "cache_hits"
+let cache_misses = counter "cache_misses"
+let dfs_nodes = counter "dfs_nodes"
+let schedules_built = counter "schedules_built"
+let game_states = counter "game_states"
+let table_hits = counter "table_hits"
+let table_misses = counter "table_misses"
+let dominance_kills = counter "dominance_kills"
+let decompose_components = counter "decompose/components"
+let decompose_component_solves = counter "decompose/component_solves"
+let decompose_component_reuses = counter "decompose/component_reuses"
+let counters = List.rev !declared
+let value = Rt_obs.Metrics.value

@@ -817,21 +817,18 @@ let error_kind line =
            (Rt_obs.Json.member "error" j)
            (fun e -> Option.bind (Rt_obs.Json.member "kind" e) Rt_obs.Json.to_string))
 
-let test_transport_two_clients () =
-  let dir = Filename.temp_file "rtsynd_sock" "" in
+(* A fresh private directory for a test daemon's socket and journal. *)
+let socket_dir prefix =
+  let dir = Filename.temp_file prefix "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
-  let sock = Filename.concat dir "s" in
-  let journal = Filename.concat dir "j.journal" in
-  let deadline = Unix.gettimeofday () +. 30. in
-  let dcfg =
-    {
-      Daemon.default_config with
-      Daemon.journal;
-      spec = Some base_spec;
-      max_frame = 256;
-    }
-  in
+  dir
+
+(* Run the transport for [dcfg] on the unix socket [sock] in its own
+   domain and call [f] once the socket exists.  A shutdown is always
+   attempted afterwards and the domain joined, so a failing assertion
+   cannot leave the transport domain (and the test binary) hanging. *)
+let with_transport sock dcfg f =
   let tcfg =
     {
       Transport.default with
@@ -850,8 +847,6 @@ let test_transport_two_clients () =
   in
   Fun.protect
     ~finally:(fun () ->
-      (* Always attempt a shutdown so a failing assertion cannot leave
-         the transport domain (and the test binary) hanging. *)
       (try
          let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
          Unix.connect fd (ADDR_UNIX sock);
@@ -861,6 +856,22 @@ let test_transport_two_clients () =
       ignore (Stdlib.Domain.join daemon : int))
   @@ fun () ->
   wait_sock 200;
+  f ()
+
+let test_transport_two_clients () =
+  let dir = socket_dir "rtsynd_sock" in
+  let sock = Filename.concat dir "s" in
+  let journal = Filename.concat dir "j.journal" in
+  let deadline = Unix.gettimeofday () +. 30. in
+  let dcfg =
+    {
+      Daemon.default_config with
+      Daemon.journal;
+      spec = Some base_spec;
+      max_frame = 256;
+    }
+  in
+  with_transport sock dcfg @@ fun () ->
   let connect () =
     let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
     Unix.connect fd (ADDR_UNIX sock);
@@ -1203,53 +1214,116 @@ let test_what_if_no_digest () =
         decls;
       Engine.close eng
 
-(* [stats] reports every engine stage, and a served what-if is counted
-   in the stages it always runs, and not in the journal's. *)
+(* [stats] reports every engine stage and the five top-level request
+   histograms, all in microseconds.  The requests go over the socket
+   transport, the only path that observes conn_request_us.  Between two
+   [stats] answers the request histograms count each request served,
+   the earlier [stats] included (it is observed after its answer is
+   built); a what-if is counted in the stages it always runs and not in
+   the journal's, and an admit in admit_us.  solve_us is observed once
+   per solve rung an answer tries: each of these two tries the
+   component pass, then the whole model.  The histograms are in
+   microseconds: what the admit and the [stats] after it add to each
+   sum (read in process, where the transport domain runs) fits in the
+   client's wall-clock window around them. *)
 let test_stats_stages () =
-  with_temp_journal @@ fun journal ->
-  let cfg =
-    { Daemon.default_config with Daemon.journal; spec = Some base_spec }
+  let dir = socket_dir "rtsynd_stats" in
+  let sock = Filename.concat dir "s" in
+  let dcfg =
+    {
+      Daemon.default_config with
+      Daemon.journal = Filename.concat dir "j.journal";
+      spec = Some base_spec;
+    }
   in
-  match Daemon.create_engine cfg with
-  | Error e -> Alcotest.failf "create: %s" e
-  | Ok (eng, _) ->
-      let serve line =
-        match Daemon.serve_line cfg eng ~started:0. ~depth:0 line with
-        | `Continue r | `Stop r -> r
-      in
-      let count stages name =
-        let open Rt_obs.Json in
-        match Option.bind (member name stages) (member "count") with
-        | Some n -> Option.value ~default:(-1.) (to_float n)
-        | None -> Alcotest.failf "stats lacks stage %s" name
-      in
-      let stages () =
-        match
-          Result.map (Rt_obs.Json.member "stages")
-            (Rt_obs.Json.parse (serve {|{"v":1,"id":"s","op":"stats"}|}))
-        with
-        | Ok (Some st) -> st
-        | _ -> Alcotest.fail "stats has no stages object"
-      in
-      let before = stages () in
-      ignore
-        (serve
-           (Printf.sprintf {|{"v":1,"id":"w","op":"what-if","decl":"%s"}|}
-              (decl_q "w")));
-      let after = stages () in
-      let ran name = count after name -. count before name in
-      List.iter
-        (fun name ->
-          checkb ("stage " ^ name ^ " reported") true (ran name >= 0.))
-        Engine.stages;
-      List.iter
-        (fun name -> checkb ("the what-if ran " ^ name) true (ran name >= 1.))
-        [
-          "parse"; "candidate"; "admission"; "key"; "verify"; "certify";
-          "check"; "digest";
-        ];
-      checkb "the what-if journaled nothing" true (ran "journal" = 0.);
-      Engine.close eng
+  with_transport sock dcfg @@ fun () ->
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_UNIX sock);
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let buf = ref "" and deadline = Unix.gettimeofday () +. 30. in
+  let request line =
+    send_all fd (line ^ "\n");
+    List.hd (recv_lines fd buf 1 ~deadline)
+  in
+  let open Rt_obs.Json in
+  let stats () =
+    match parse (request {|{"v":1,"id":"s","op":"stats"}|}) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "stats does not parse: %s" e
+  in
+  let count hist name =
+    match Option.bind (member name hist) (member "count") with
+    | Some n -> Option.value ~default:(-1.) (to_float n)
+    | None -> Alcotest.failf "stats lacks %s" name
+  in
+  let stages j =
+    match member "stages" j with
+    | Some st -> st
+    | None -> Alcotest.fail "stats has no stages object"
+  in
+  let ran before after name = count after name -. count before name in
+  let s1 = stats () in
+  ignore
+    (request
+       (Printf.sprintf {|{"v":1,"id":"w","op":"what-if","decl":"%s"}|}
+          (decl_q "w")));
+  let s2 = stats () in
+  let top =
+    [ "request_us"; "admit_us"; "solve_us"; "check_us"; "conn_request_us" ]
+  in
+  let sums () =
+    List.map
+      (fun name -> Rt_obs.Metrics.(h_sum (histogram ("daemon/" ^ name))))
+      top
+  in
+  let t0 = Unix.gettimeofday () and sums0 = sums () in
+  (* The admit is not an alpha-renaming of the what-if, so it solves
+     rather than answering from the memo the what-if seeded. *)
+  let admit =
+    request
+      (Printf.sprintf {|{"v":1,"id":"a","op":"admit","decl":"%s"}|}
+         "constraint a asynchronous separation 12 deadline 8 { f_y; }")
+  in
+  checks "the admit is admitted" "" (error_kind admit);
+  let s3 = stats () in
+  let window_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+  List.iter2
+    (fun name (before, after) ->
+      checkb
+        (Printf.sprintf "%s adds %d, within the %d us window" name
+           (after - before) window_us)
+        true
+        (after - before >= 0 && after - before <= window_us))
+    top
+    (List.combine sums0 (sums ()));
+  List.iter
+    (fun name ->
+      checkb ("stage " ^ name ^ " reported") true
+        (ran (stages s1) (stages s2) name >= 0.))
+    Engine.stages;
+  List.iter
+    (fun name ->
+      checkb ("the what-if ran " ^ name) true
+        (ran (stages s1) (stages s2) name >= 1.))
+    [
+      "parse"; "candidate"; "admission"; "key"; "verify"; "certify"; "check";
+      "digest";
+    ];
+  checkb "the what-if journaled nothing" true
+    (ran (stages s1) (stages s2) "journal" = 0.);
+  List.iter
+    (fun (name, what_if, admit) ->
+      Alcotest.(check (float 0.)) (name ^ " after the what-if") what_if
+        (ran s1 s2 name);
+      Alcotest.(check (float 0.)) (name ^ " after the admit") admit
+        (ran s2 s3 name))
+    [
+      ("request_us", 2., 2.);
+      ("admit_us", 0., 1.);
+      ("solve_us", 2., 2.);
+      ("check_us", 1., 1.);
+      ("conn_request_us", 2., 2.);
+    ]
 
 let () =
   Alcotest.run "rt_daemon"

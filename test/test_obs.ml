@@ -65,11 +65,77 @@ let test_empty_histogram () =
   checkb "no quantile when empty" true
     (Metrics.quantile h 0.5 = None && Metrics.h_min h = None
    && Metrics.h_max h = None);
-  checki "zero count" 0 (Metrics.h_count h)
+  checki "zero count" 0 (Metrics.h_count h);
+  match
+    List.find_opt
+      (function
+        | Metrics.Histogram_v { name; _ } -> name = "test/empty" | _ -> false)
+      (Metrics.snapshot ())
+  with
+  | Some (Metrics.Histogram_v { count; sum; min; max; p50; p95; p99; _ }) ->
+      checkb "snapshot reports zeros" true
+        (List.for_all (( = ) 0) [ count; sum; min; max; p50; p95; p99 ])
+  | _ -> Alcotest.fail "test/empty missing from the snapshot"
+
+(* A histogram's buckets are allocated on its first observe, so every
+   program can register its histograms at start-up for a few words.
+   The minimum over three registrations keeps an amortised registry
+   table resize out of the measurement. *)
+let test_histogram_registration_cheap () =
+  let words name =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Metrics.histogram name));
+    Gc.minor_words () -. w0
+  in
+  let least =
+    List.fold_left min infinity
+      (List.map words [ "test/cheap-a"; "test/cheap-b"; "test/cheap-c" ])
+  in
+  checkb (Printf.sprintf "registration allocates %.0f words < 64" least) true
+    (least < 64.)
+
+(* [reset] zeroes observed histograms in place and leaves an unobserved
+   one as it is, without allocating its buckets; the histogram then
+   observes as usual. *)
+let test_reset_unobserved () =
+  let h = Metrics.histogram "test/unobserved" in
+  let w0 = Gc.minor_words () in
+  Metrics.reset ();
+  let words = Gc.minor_words () -. w0 in
+  checkb (Printf.sprintf "reset allocates %.0f words < 64" words) true
+    (words < 64.);
+  checkb "still empty" true
+    (Metrics.h_count h = 0 && Metrics.quantile h 0.5 = None);
+  Metrics.observe h 40;
+  checki "observes after reset" 1 (Metrics.h_count h);
+  checkb "quantile after reset" true
+    (Metrics.quantile h 1.0 = Some (Metrics.bound_of_value 40))
+
+(* Four domains make their first observe on one fresh histogram at
+   once: whichever bucket array the CAS publishes, no count is lost.
+   Fresh histograms are taken over several rounds to give the race
+   more chances. *)
+let test_first_observe_race () =
+  Pool.with_pool ~jobs:4 (fun p ->
+      for round = 1 to 20 do
+        let h = Metrics.histogram (Printf.sprintf "test/fresh-%d" round) in
+        ignore
+          (Pool.parallel_map p
+             (fun _ ->
+               for i = 1 to 250 do
+                 Metrics.observe h i
+               done;
+               0)
+             (Array.init 4 Fun.id));
+        checki "no count lost" 1000 (Metrics.h_count h);
+        checki "no sum lost" (4 * 31375) (Metrics.h_sum h);
+        checkb "every bucket count kept" true
+          (Metrics.quantile h 1.0 = Some (Metrics.bound_of_value 250))
+      done)
 
 (* Bump one counter and one histogram from every pool worker: Atomic
    cells must not lose updates.  This is the regression test for the old
-   Perf.time race (plain int refs accumulated cross-domain). *)
+   stage-timer race (plain int refs accumulated cross-domain). *)
 let test_metrics_domain_safe () =
   let c = Metrics.counter "test/par-ctr" in
   let h = Metrics.histogram "test/par-hist" in
@@ -89,19 +155,30 @@ let test_metrics_domain_safe () =
   checki "no lost observations" 800 (Metrics.h_count h);
   checki "no torn sums" (8 * 5050) (Metrics.h_sum h)
 
-let test_perf_time_domain_safe () =
+let test_time_domain_safe () =
+  let h = Metrics.histogram "stage/obs-par-stage" in
   Pool.with_pool ~jobs:4 (fun p ->
       ignore
         (Pool.parallel_map p
            (fun i ->
-             Rt_par.Perf.time "obs-par-stage" (fun () ->
+             Metrics.time h (fun () ->
                  Array.fold_left ( + ) i (Array.init 1000 Fun.id)))
            (Array.init 8 Fun.id)));
-  let h = Metrics.histogram "stage/obs-par-stage" in
   checki "one observation per timed call" 8 (Metrics.h_count h);
-  match List.assoc_opt "obs-par-stage" (Rt_par.Perf.stage_seconds ()) with
-  | Some s -> checkb "nonnegative accumulated stage time" true (s >= 0.0)
-  | None -> Alcotest.fail "stage missing from stage_seconds"
+  checkb "nonnegative accumulated time" true (Metrics.h_sum h >= 0)
+
+(* A thunk that raises is timed too, and its exception passes through
+   unchanged. *)
+exception Timed_failure of int
+
+let test_time_raising () =
+  let h = Metrics.histogram "test/time-raises" in
+  (match Metrics.time h (fun () -> raise (Timed_failure 7)) with
+  | () -> Alcotest.fail "the exception was swallowed"
+  | exception Timed_failure 7 -> ());
+  checki "the raising call is recorded" 1 (Metrics.h_count h);
+  checki "the result passes through" 3 (Metrics.time h (fun () -> 3));
+  checki "then the returning one" 2 (Metrics.h_count h)
 
 (* ------------------------------------------------------------------ *)
 (* Histogram quantiles vs a sorted-list oracle                         *)
@@ -392,8 +469,14 @@ let () =
           ("negative observations clamp", `Quick,
            test_histogram_clamps_negative);
           ("empty histogram", `Quick, test_empty_histogram);
+          ("histogram registration is cheap", `Quick,
+           test_histogram_registration_cheap);
+          ("reset leaves an unobserved histogram", `Quick,
+           test_reset_unobserved);
+          ("first observes race", `Quick, test_first_observe_race);
           ("atomic cells are domain-safe", `Quick, test_metrics_domain_safe);
-          ("Perf.time is domain-safe", `Quick, test_perf_time_domain_safe);
+          ("Metrics.time is domain-safe", `Quick, test_time_domain_safe);
+          ("Metrics.time records a raising thunk", `Quick, test_time_raising);
           QCheck_alcotest.to_alcotest prop_hist_matches_oracle;
         ] );
       ( "tracer",

@@ -9,6 +9,7 @@ open Rt_core
 module Pool = Rt_par.Pool
 module Bound = Rt_par.Bound
 module Perf = Rt_par.Perf
+module Metrics = Rt_obs.Metrics
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -103,16 +104,28 @@ let test_bound_monotone_min () =
 (* ------------------------------------------------------------------ *)
 
 let test_perf_counters () =
-  Perf.reset ();
-  Perf.incr Perf.cache_hits;
-  Perf.add Perf.cache_hits 4;
+  Metrics.reset ();
+  Metrics.incr Perf.cache_hits;
+  Metrics.add Perf.cache_hits 4;
   checki "accumulates" 5 (Perf.value Perf.cache_hits);
-  let x = Perf.time "stage-a" (fun () -> 41 + 1) in
+  let stage = Metrics.histogram "stage/stage-a" in
+  let x = Metrics.time stage (fun () -> 41 + 1) in
   checki "time passes result through" 42 x;
-  checkb "stage recorded" true
-    (List.mem_assoc "stage-a" (Perf.stage_seconds ()));
-  Perf.reset ();
-  checki "reset zeroes" 0 (Perf.value Perf.cache_hits)
+  checki "stage recorded" 1 (Metrics.h_count stage);
+  Alcotest.(check (list string))
+    "the bench counters, in bench order"
+    [
+      "windows_checked"; "cache_hits"; "cache_misses"; "dfs_nodes";
+      "schedules_built"; "game_states"; "table_hits"; "table_misses";
+      "dominance_kills"; "decompose/components"; "decompose/component_solves";
+      "decompose/component_reuses";
+    ]
+    (List.map fst Perf.counters);
+  checkb "each listed cell is the registry cell of its name" true
+    (List.for_all (fun (name, c) -> Metrics.counter name == c) Perf.counters);
+  Metrics.reset ();
+  checki "reset zeroes" 0 (Perf.value Perf.cache_hits);
+  checki "reset zeroes the stage" 0 (Metrics.h_count stage)
 
 (* ------------------------------------------------------------------ *)
 (* Plan equality: pooled engines = sequential engines                  *)
