@@ -23,6 +23,8 @@
 
 open Cmdliner
 open Rt_core
+module Certificate = Rt_check.Certificate
+module Checker = Rt_check.Checker
 
 let exit_ok = 0
 let exit_infeasible = 1

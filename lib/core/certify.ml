@@ -1,3 +1,5 @@
+module Certificate = Rt_check.Certificate
+
 let exec_of_assignment tg assignment : Certificate.exec =
   let x = Array.make (Task_graph.size tg) (0, 0) in
   List.iter

@@ -11,7 +11,7 @@
     perturbing the engine's own exploration (the bench counters pin
     the default path bit-for-bit). *)
 
-val schedule : Model.t -> Schedule.t -> (Certificate.t, string) result
+val schedule : Model.t -> Schedule.t -> (Rt_check.Certificate.t, string) result
 (** [schedule m l] extracts witnesses for every constraint of [m]:
     for an asynchronous constraint, a covering chain of executions
     (greedy: the execution witnessing window start [t] yields the next
@@ -27,7 +27,7 @@ val schedule : Model.t -> Schedule.t -> (Certificate.t, string) result
     order, with the bytes each constraint certified alone would give;
     the checker still checks each of them. *)
 
-val plan : Synthesis.plan -> (Certificate.t, string) result
+val plan : Synthesis.plan -> (Rt_check.Certificate.t, string) result
 (** [plan p] certifies [p.schedule] against [p.model_used] (the model
     the synthesis pipeline actually scheduled, after merging or
     pipelining rewrites — the same model {!Rt_spec.Persist} stores). *)

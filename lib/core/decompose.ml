@@ -9,8 +9,9 @@
 
    Everything here is untrusted machinery: the interleave can fail or
    (in principle) mis-space a component's executions, so callers always
-   re-verify the merged schedule against the whole model and fall back
-   to the undecomposed path — see Synthesis and the daemon Engine.  The
+   check the merged schedule against the whole model (Synthesis
+   verifies it, the daemon Engine certifies it) and fall back to the
+   undecomposed path.  The
    only verdict taken at face value is a component's exact
    infeasibility, which transfers to the whole model because the
    component's constraints are a subset of it. *)

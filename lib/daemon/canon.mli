@@ -20,8 +20,8 @@
     instead of re-sorting every resident signature per request.
     Renaming or reordering constraints leaves it unchanged; renaming
     elements is out of scope, because [G] is fixed.  A collision can only cost a lost or spurious
-    cache hit: every hit is re-verified against the whole model,
-    certified and re-checked by the trusted core before use. *)
+    cache hit: every hit is certified against the whole model and
+    re-checked by the trusted core before use. *)
 
 val of_constraints : Rt_core.Timing.t list -> string
 (** The key of a constraint multiset. *)

@@ -25,8 +25,8 @@ type t = {
          an admission touching one component re-solves that component
          only, the untouched ones answer from here, counted by
          decompose/component_reuses).  Entries are untrusted hints:
-         every answer built from one still passes whole-model
-         verification and the trusted certificate check before
+         every answer built from one is certified against the whole
+         candidate and its certificate passes the trusted check before
          publication. *)
   pool : Rt_par.Pool.t option;
 }
@@ -88,34 +88,42 @@ let stages =
 let digest_of = Rt_check.Certificate.digest_of_model
 
 (* ------------------------------------------------------------------ *)
-(* The fail-closed certification step: untrusted Certify, trusted
-   Checker, then the digest of the certificate as it would persist.    *)
+(* The certification step: how every answer and record is accepted.   *)
 (* ------------------------------------------------------------------ *)
 
-let certified m sched =
+(* Untrusted Certify, the trusted Checker, then the digest of the
+   certificate as it would persist.  Certify searches every window of
+   every constraint for an execution, so it refuses ([`Refused])
+   exactly the schedules that miss a deadline, and an answer rung may
+   fall through to the next.  A certificate that the Checker or the
+   persist step rejects is [`Vetoed] and fails closed.
+   [~digest:false] (a what-if) makes the persist step's refusals
+   without rendering or hashing, and answers [""]. *)
+let certified ?(digest = true) m sched =
+  Rt_obs.Metrics.time check_us @@ fun () ->
   match in_stage certify_st (fun () -> Certify.schedule m sched) with
-  | Error e -> Error [ "certify: " ^ e ]
-  | exception Invalid_argument e -> Error [ "certify: " ^ e ]
+  | Error e -> Error (`Refused [ "certify: " ^ e ])
+  | exception Invalid_argument e -> Error (`Refused [ "certify: " ^ e ])
   | Ok cert -> (
       match in_stage check_st (fun () -> Checker.check m cert) with
-      | Error diags -> Error diags
-      | Ok () -> Ok cert)
+      | Error diags -> Error (`Vetoed diags)
+      | Ok () -> (
+          in_stage digest_st @@ fun () ->
+          let persisted =
+            if digest then
+              match Rt_spec.Persist.certificate_digest m cert with
+              | d -> Ok d
+              | exception Invalid_argument e -> Error e
+            else
+              Result.map
+                (fun () -> "")
+                (Rt_spec.Persist.check_certificate m cert)
+          in
+          Result.map_error (fun e -> `Vetoed [ "persist: " ^ e ]) persisted))
 
-(* [~digest:false] (a what-if, whose answer carries no digest) makes
-   the persist step's refusals without rendering or hashing, and
-   answers [""]. *)
-let certify_checked ?(digest = true) m sched =
-  Rt_obs.Metrics.time check_us @@ fun () ->
-  Result.bind (certified m sched) @@ fun cert ->
-  in_stage digest_st @@ fun () ->
-  if digest then
-    match Rt_spec.Persist.certificate_digest m cert with
-    | d -> Ok d
-    | exception Invalid_argument e -> Error [ "persist: " ^ e ]
-  else
-    match Rt_spec.Persist.check_certificate m cert with
-    | Ok () -> Ok ""
-    | Error e -> Error [ "persist: " ^ e ]
+(* Where no rung follows, a refusal fails closed as a veto does. *)
+let fail_closed r =
+  Result.map_error (fun (`Refused d | `Vetoed d) -> `Check_failed d) r
 
 let model t = Resident.model t.resident
 
@@ -156,8 +164,8 @@ let candidate t decl =
 
 (* The index with [name] retired, its schedule and certificate digest.
    Shrinking the constraint set can only relax the problem: the resident
-   schedule still verifies, only the certificate must be re-issued
-   against the reduced model ("" once no constraint is left). *)
+   schedule still meets the rest, only the certificate must be
+   re-issued against the reduced model ("" once no constraint is left). *)
 let retired t name =
   if not (Resident.mem t.resident name) then
     Error (`Rejected [ Printf.sprintf "unknown constraint %S" name ])
@@ -166,9 +174,9 @@ let retired t name =
     match if Resident.is_empty r' then None else t.schedule with
     | None -> Ok (r', None, "")
     | Some sched -> (
-        match certify_checked (Resident.model r') sched with
-        | Error diags -> Error (`Check_failed diags)
-        | Ok cert_digest -> Ok (r', Some sched, cert_digest))
+        Result.map
+          (fun cert_digest -> (r', Some sched, cert_digest))
+          (fail_closed (certified (Resident.model r') sched)))
 
 (* Apply a certified state and seed the answer cache with it.  [key]
    is [Resident.key r'] when the caller has already computed it. *)
@@ -203,12 +211,6 @@ let admission m =
 (* The answer path: memo, then warm reuse, then synthesis.             *)
 (* ------------------------------------------------------------------ *)
 
-let verifies m sched =
-  in_stage verify_st @@ fun () ->
-  match Latency.verify m sched with
-  | verdicts -> Latency.all_ok verdicts
-  | exception Invalid_argument _ -> false
-
 (* Whole-model synthesis against the admitted model verbatim (merging
    and pipelining rewrite the model, which would decouple the resident
    schedule from the resident constraint set — documented v1
@@ -223,12 +225,11 @@ let plain_solve ?budget ~level t (m' : Model.t) =
 
 (* Component-local answer path: solve only the interaction components
    whose constraints are not already in the answer cache, then
-   interleave and re-verify against the whole candidate model.  The
-   components, their order and their keys come from the index; a
-   submodel is built only for a component the cache misses.  The
-   component loop is sequential (the cache is not domain-safe); each
-   component solve gets the pool.  Outcomes:
-     `Sched s      — whole-model verified schedule (still uncertified)
+   interleave.  The components, their order and their keys come from
+   the index; a submodel is built only for a component the cache
+   misses.  The component loop is sequential (the cache is not
+   domain-safe); each component solve gets the pool.  Outcomes:
+     `Sched s      — the interleaved schedule, still uncertified
      `Definitive d — a component is exactly infeasible => so is m'
      `Timeout r    — the budget tripped mid-pass
      `Skip         — decomposition does not apply or did not pan out;
@@ -298,71 +299,85 @@ let decomposed_solve ?budget ~level t (r' : Resident.t) =
       | Error (`Definitive d) -> `Definitive d
       | Error (`Timeout r) -> `Timeout r
       | Error `Give_up | Ok (Error _) -> `Skip
-      | Ok (Ok sched) ->
-          if verifies (Resident.model r') sched then `Sched sched else `Skip)
+      | Ok (Ok sched) -> `Sched sched)
 
 (* Synthesis for the indexed model [r'], component-wise first (one
    small solve per interaction component instead of one big one),
-   undecomposed as the fail-closed fallback.  The last rung of the
-   answer path, and the fresh-start solve of the base system. *)
-let solve ?budget ~level t (r' : Resident.t) =
+   undecomposed as the fail-closed fallback; an interleave that Certify
+   refuses falls back too.  The last rung of the answer path, and the
+   fresh-start solve of the base system. *)
+let solve ?budget ~level ?digest t (r' : Resident.t) =
+  let m' = Resident.model r' in
+  let certify s =
+    Result.map (fun cd -> (s, "synth", cd)) (certified ?digest m' s)
+  in
+  let undecomposed () =
+    let result =
+      Rt_obs.Metrics.time solve_us @@ fun () -> plain_solve ?budget ~level t m'
+    in
+    match result with
+    | Ok plan -> fail_closed (certify plan.Synthesis.schedule)
+    | Error err -> (
+        match Option.bind budget Budget.exhausted with
+        | Some reason -> Error (`Timeout reason)
+        | None ->
+            Error (`Rejected [ Format.asprintf "%a" Synthesis.pp_error err ]))
+  in
   match
     Rt_obs.Metrics.time solve_us (fun () ->
         decomposed_solve ?budget ~level t r')
   with
-  | `Sched sched -> Ok sched
+  | `Sched sched -> (
+      match certify sched with
+      | Error (`Refused _) -> undecomposed ()
+      | answer -> fail_closed answer)
   | `Definitive diags -> Error (`Rejected diags)
   | `Timeout reason -> Error (`Timeout reason)
-  | `Skip -> (
-      let result =
-        Rt_obs.Metrics.time solve_us @@ fun () ->
-        plain_solve ?budget ~level t (Resident.model r')
-      in
-      match result with
-      | Ok plan -> Ok plan.Synthesis.schedule
-      | Error err -> (
-          match Option.bind budget Budget.exhausted with
-          | Some reason -> Error (`Timeout reason)
-          | None ->
-              Error (`Rejected [ Format.asprintf "%a" Synthesis.pp_error err ])))
+  | `Skip -> undecomposed ()
 
 (* Find a certified schedule for candidate [r'], the resident index
    plus the declared constraint [added]; [key] is [Resident.key r'].
-   Returns (schedule, path) or a diagnosable failure.  Never mutates
-   the resident certified state ([t.resident]/[t.schedule]/[t.cert]);
-   the game-table and answer caches may grow.
+   Returns (schedule, path, certificate digest) or a diagnosable
+   failure.  Never mutates the resident certified state
+   ([t.resident]/[t.schedule]/[t.cert]); the game-table and answer
+   caches may grow.  Every rung's schedule passes the certification
+   step against the whole candidate; a memo hint that Certify refuses
+   falls through to the next rung.
 
    The warm rung asks only whether the resident schedule meets
-   [added]: that schedule verifies every resident constraint (every
+   [added]: that schedule meets every resident constraint (every
    commit, replayed record and fresh start puts a checked schedule in
    place, and a retire only drops constraints), and a constraint's
-   verdict depends on the schedule and its own task graph alone, so
-   the other verdicts of a whole-model verify are known to hold.  The
-   memo rung's cached schedule carries no such guarantee and is
-   verified against the whole candidate. *)
-let find_schedule ?budget ~level t ~key ~(added : Timing.t) (r' : Resident.t)
-    =
+   verdict depends on the schedule and its own task graph alone. *)
+let find_schedule ?budget ~level ~digest t ~key ~(added : Timing.t)
+    (r' : Resident.t) =
+  let m' = Resident.model r' in
+  let certify path s =
+    Result.map (fun cd -> (s, path, cd)) (certified ~digest m' s)
+  in
   let memo_hit =
-    match Hashtbl.find_opt t.cache key with
-    | Some sched when verifies (Resident.model r') sched -> Some sched
-    | _ -> None
+    Option.bind (Hashtbl.find_opt t.cache key) @@ fun sched ->
+    match certify "memo" sched with
+    | Error (`Refused _) -> None
+    | answer -> Some (fail_closed answer)
   in
   let meets_added sched =
-    verifies
-      (Model.make ~comm:(Resident.comm r') ~constraints:[ added ])
-      sched
+    in_stage verify_st @@ fun () ->
+    let m = Model.make ~comm:(Resident.comm r') ~constraints:[ added ] in
+    try Latency.all_ok (Latency.verify m sched)
+    with Invalid_argument _ -> false
   in
   match memo_hit with
-  | Some sched ->
+  | Some answer ->
       Rt_obs.Metrics.incr memo_hits;
-      Ok (sched, "memo")
+      answer
   | None -> (
       Rt_obs.Metrics.incr memo_misses;
       match t.schedule with
       | Some sched when meets_added sched ->
           Rt_obs.Metrics.incr warm_hits;
-          Ok (sched, "warm")
-      | _ -> Result.map (fun s -> (s, "synth")) (solve ?budget ~level t r'))
+          fail_closed (certify "warm" sched)
+      | _ -> solve ?budget ~level ~digest t r')
 
 let admit_or_probe ?budget ~level ~commit t decl =
   match candidate t decl with
@@ -377,45 +392,44 @@ let admit_or_probe ?budget ~level ~commit t decl =
           Analytic_only { verdict = verdict_string verdict }
       | _ -> (
           let key = in_stage key_st (fun () -> Resident.key r') in
-          match find_schedule ?budget ~level t ~key ~added r' with
+          match
+            find_schedule ?budget ~level ~digest:commit t ~key ~added r'
+          with
           | Error (`Timeout reason) ->
               Rt_obs.Metrics.incr timeouts;
               Timed_out reason
           | Error (`Rejected diags) ->
               Rt_obs.Metrics.incr admits_rejected;
               Rejected diags
-          | Ok (sched, path) -> (
-              let m' = Resident.model r' in
-              match certify_checked ~digest:commit m' sched with
-              | Error diags ->
-                  (* The trusted core vetoed the untrusted answer: roll
-                     back (state was never touched) and fail closed. *)
-                  Rt_obs.Metrics.incr check_failures;
-                  Check_failed diags
-              | Ok cert_digest -> (
-                  let answer =
-                    Admitted { path; verdict = verdict_string verdict }
-                  in
-                  if not commit then answer
-                  else
-                    let record =
-                      Journal.Admit
-                        {
-                          name = added.Timing.name;
-                          decl;
-                          digest = digest_of m';
-                          schedule =
-                            Rt_base.Schedule.to_string m'.Model.comm sched;
-                          cert = cert_digest;
-                        }
-                    in
-                    match
-                      journal_commit ~key t record r' (Some sched) cert_digest
-                    with
-                    | Error e -> Journal_failed e
-                    | Ok () ->
-                        Rt_obs.Metrics.incr admits_ok;
-                        answer))))
+          | Error (`Check_failed diags) ->
+              (* The trusted core vetoed the untrusted answer: roll
+                 back (state was never touched) and fail closed. *)
+              Rt_obs.Metrics.incr check_failures;
+              Check_failed diags
+          | Ok (sched, path, cert_digest) -> (
+              let answer =
+                Admitted { path; verdict = verdict_string verdict }
+              in
+              if not commit then answer
+              else
+                let m' = Resident.model r' in
+                let record =
+                  Journal.Admit
+                    {
+                      name = added.Timing.name;
+                      decl;
+                      digest = digest_of m';
+                      schedule = Rt_base.Schedule.to_string m'.Model.comm sched;
+                      cert = cert_digest;
+                    }
+                in
+                match
+                  journal_commit ~key t record r' (Some sched) cert_digest
+                with
+                | Error e -> Journal_failed e
+                | Ok () ->
+                    Rt_obs.Metrics.incr admits_ok;
+                    answer)))
 
 let admit ?budget ~level t decl = admit_or_probe ?budget ~level ~commit:true t decl
 let what_if ?budget ~level t decl = admit_or_probe ?budget ~level ~commit:false t decl
@@ -439,20 +453,17 @@ let reverify t =
   match t.schedule with
   | None -> Ok (digest_of (model t))
   | Some sched -> (
-      if not (verifies (model t) sched) then
-        Error [ "resident schedule no longer verifies" ]
-      else
-        match certify_checked (model t) sched with
-        | Error diags -> Error diags
-        | Ok cert_digest ->
-            if t.cert <> "" && t.cert <> cert_digest then
-              Error
-                [
-                  Printf.sprintf
-                    "certificate digest drift: resident %s, recomputed %s"
-                    t.cert cert_digest;
-                ]
-            else Ok (digest_of (model t)))
+      match certified (model t) sched with
+      | Error (`Refused diags | `Vetoed diags) -> Error diags
+      | Ok cert_digest ->
+          if t.cert <> "" && t.cert <> cert_digest then
+            Error
+              [
+                Printf.sprintf
+                  "certificate digest drift: resident %s, recomputed %s"
+                  t.cert cert_digest;
+              ]
+          else Ok (digest_of (model t)))
 
 let init_record t spec =
   Journal.Init
@@ -476,49 +487,37 @@ let snapshot t =
 (* Startup: fresh init or journal replay.                              *)
 (* ------------------------------------------------------------------ *)
 
-let load_schedule m s =
-  match Rt_base.Schedule.of_string m.Model.comm s with
-  | Error e -> Error [ "schedule: " ^ e ]
-  | Ok sched -> (
-      match Rt_base.Schedule.validate m.Model.comm sched with
-      | Error errs -> Error errs
-      | Ok () ->
-          if verifies m sched then Ok sched
-          else Error [ "journaled schedule does not verify" ])
-
-let check_digest what m digest =
-  if digest_of m = digest then Ok ()
+(* A journaled model or certificate digest against the one replay
+   recomputed. *)
+let check_digest kind ~journaled got =
+  if got = journaled then Ok ()
   else
     Error
       [
-        Printf.sprintf "%s: model digest mismatch (journal %s, replayed %s)"
-          what digest (digest_of m);
+        Printf.sprintf "%s digest mismatch (journal %s, recomputed %s)" kind
+          journaled got;
       ]
 
-let check_cert what ~journaled cd =
-  if cd = journaled then Ok ()
+(* Re-validate one journaled certified state through the certification
+   step, exactly as at admit time: a schedule that misses a deadline is
+   refused by Certify, naming the constraint, and the certificate must
+   digest to the journaled one. *)
+let revalidate m sched_s cert_d =
+  if sched_s = "" then
+    if cert_d = "" then Ok None
+    else Error [ "certificate digest without schedule" ]
   else
-    Error
-      [
-        Printf.sprintf
-          "%s: certificate digest mismatch (journal %s, recomputed %s)" what
-          journaled cd;
-      ]
-
-(* Re-validate one journaled certified state: digests and the trusted
-   checker, exactly as at admit time. *)
-let revalidate what m sched_s cert_d =
-  if sched_s = "" then if cert_d = "" then Ok None else Error [ what ^ ": certificate digest without schedule" ]
-  else
-    match load_schedule m sched_s with
-    | Error e -> Error (List.map (fun x -> what ^ ": " ^ x) e)
+    match Rt_base.Schedule.of_string m.Model.comm sched_s with
+    | Error e -> Error [ "schedule: " ^ e ]
     | Ok sched -> (
-        match certify_checked m sched with
-        | Error e -> Error (List.map (fun x -> what ^ ": " ^ x) e)
+        match certified m sched with
+        | Error (`Refused e | `Vetoed e) -> Error e
         | Ok cd ->
             Result.map
               (fun () -> Some sched)
-              (check_cert what ~journaled:cert_d cd))
+              (check_digest "certificate" ~journaled:cert_d cd))
+
+let in_record what r = Result.map_error (List.map (fun x -> what ^ ": " ^ x)) r
 
 (* Records are applied through serving's own steps — [candidate],
    [retired], [commit] — so replay rebuilds the same index and seeds
@@ -528,30 +527,26 @@ let replay t records =
   let step = function
     | Journal.Init _ -> Error [ "unexpected second init record" ]
     | Journal.Admit r ->
-        let what = Printf.sprintf "admit %S" r.name in
-        let* _, r' = candidate t r.decl in
-        let m' = Resident.model r' in
-        let* () = check_digest what m' r.digest in
-        let* sched =
-          match revalidate what m' r.schedule r.cert with
-          | Ok (Some s) -> Ok s
-          | Ok None -> Error [ what ^ ": record has no schedule" ]
-          | Error e -> Error e
-        in
-        commit t r' (Some sched) r.cert;
-        Ok ()
+        in_record (Printf.sprintf "admit %S" r.name)
+        @@ let* _, r' = candidate t r.decl in
+           let m' = Resident.model r' in
+           let* () = check_digest "model" ~journaled:r.digest (digest_of m') in
+           let* sched = revalidate m' r.schedule r.cert in
+           let* sched =
+             Option.to_result ~none:[ "record has no schedule" ] sched
+           in
+           Ok (commit t r' (Some sched) r.cert)
     | Journal.Retire r ->
-        let what = Printf.sprintf "retire %S" r.name in
-        let* r', sched, cd =
-          Result.map_error
-            (fun (`Rejected e | `Check_failed e) ->
-              List.map (fun x -> what ^ ": " ^ x) e)
-            (retired t r.name)
-        in
-        let* () = check_digest what (Resident.model r') r.digest in
-        let* () = check_cert what ~journaled:r.cert cd in
-        commit t r' sched cd;
-        Ok ()
+        in_record (Printf.sprintf "retire %S" r.name)
+        @@ let* r', sched, cd =
+             Result.map_error
+               (fun (`Rejected e | `Check_failed e) -> e)
+               (retired t r.name)
+           in
+           let m' = Resident.model r' in
+           let* () = check_digest "model" ~journaled:r.digest (digest_of m') in
+           let* () = check_digest "certificate" ~journaled:r.cert cd in
+           Ok (commit t r' sched cd)
   in
   let rec go i = function
     | [] -> Ok ()
@@ -603,13 +598,10 @@ let create ?pool ?startup_budget ~journal ?spec () =
                               solve ?budget:startup_budget ~level:Full t
                                 t.resident
                             with
-                            | Error (`Rejected diags) -> Error diags
+                            | Error (`Rejected e | `Check_failed e) -> Error e
                             | Error (`Timeout reason) -> Error [ reason ]
-                            | Ok sched ->
-                                Result.map
-                                  (fun cd ->
-                                    commit t t.resident (Some sched) cd)
-                                  (certify_checked m sched)
+                            | Ok (sched, _, cd) ->
+                                Ok (commit t t.resident (Some sched) cd)
                         in
                         match certified with
                         | Error e ->
@@ -625,8 +617,11 @@ let create ?pool ?startup_budget ~journal ?spec () =
                 | Ok m -> (
                     let t = mk m in
                     match
-                      Result.bind (check_digest "journal init" m i.digest)
-                        (fun () -> revalidate "init" m i.schedule i.cert)
+                      in_record "journal init"
+                        (Result.bind
+                           (check_digest "model" ~journaled:i.digest
+                              (digest_of m))
+                           (fun () -> revalidate m i.schedule i.cert))
                     with
                     | Error e -> Error (String.concat "; " e)
                     | Ok sched ->

@@ -4,7 +4,10 @@
     schedule, the per-model resident game tables and the answer cache,
     and performs the
     validate → certify → check → journal → mutate sequence for every
-    state change.  The invariant the module maintains is {e fail
+    state change.  Certification is the acceptance test: no
+    whole-model [Latency.verify] runs, because {!Certify.schedule}
+    searches every window and refuses exactly the schedules that miss
+    a deadline.  The invariant the module maintains is {e fail
     closed}: the resident (model, schedule) pair has always passed the
     trusted {!Rt_check.Checker}, every mutation hits the write-ahead
     {!Journal} (fsynced) before it is applied or acknowledged, and any
@@ -25,8 +28,8 @@ type level =
 type outcome =
   | Admitted of { path : string; verdict : string }
       (** Committed.  [path] says which answer path produced the
-          schedule: ["warm"] (current schedule still verifies),
-          ["memo"] (answer-cache hit) or ["synth"]. *)
+          schedule: ["warm"] (current schedule still meets every
+          constraint), ["memo"] (answer-cache hit) or ["synth"]. *)
   | Analytic_only of { verdict : string }
       (** Analytic answer under degradation; state not changed. *)
   | Rejected of string list  (** Infeasible, invalid or unknown. *)
@@ -47,9 +50,10 @@ val create :
 (** Open or replay the journal at [journal].  An empty or missing
     journal is a fresh start and requires [spec] (the base system
     source); a non-empty journal is replayed record by record, with
-    every model digest and certificate digest re-verified and every
-    intermediate state re-checked by the trusted core — any mismatch
-    refuses to start.  Replay also reseeds the answer cache. *)
+    every model digest compared and every journaled schedule certified,
+    re-checked by the trusted core and its certificate digest compared
+    — any mismatch, or a schedule that misses a deadline, refuses to
+    start.  Replay also reseeds the answer cache. *)
 
 val admit : ?budget:Budget.t -> level:level -> t -> string -> outcome
 (** [admit t decl] admits one constraint declaration (specification
@@ -90,9 +94,10 @@ val close : t -> unit
 val stages : string list
 (** The request stages, in request order, each timed on the histogram
     [daemon/stage/<name>_us] and as a [daemon/<name>] tracer span:
-    parse, candidate, admission, key, decompose, solve, verify,
-    certify, check, digest (the persist step: the certificate digest,
-    or a what-if's refusal check) and journal. *)
+    parse, candidate, admission, key, decompose, solve, verify (the
+    warm rung's one-constraint probe), certify, check, digest (the
+    persist step: the certificate digest, or a what-if's refusal
+    check) and journal. *)
 
 val admission : Model.t -> string * int
 (** The analytic answer path shared with [rtsyn admit]: renders

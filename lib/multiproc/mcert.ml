@@ -3,6 +3,7 @@
    the open, which would otherwise shadow the sibling. *)
 module Mp_decompose = Decompose
 open Rt_core
+module Certificate = Rt_check.Certificate
 module Decompose = Mp_decompose
 
 let cert_piece (w : Decompose.windowed) =

@@ -8,7 +8,7 @@
     the checker re-derives every claim from the model, so nothing here
     is trusted. *)
 
-val result_cert : Rt_core.Model.t -> Msched.result -> Rt_core.Certificate.mp
+val result_cert : Rt_core.Model.t -> Msched.result -> Rt_check.Certificate.mp
 (** [result_cert m r] is the certificate for a nominal synthesis of the
     full model [m]: no dropped constraints, no overrides.  Message
     pieces carry the full reserved cost ([msg_cost + arq_slack] bus
@@ -17,7 +17,7 @@ val result_cert : Rt_core.Model.t -> Msched.result -> Rt_core.Certificate.mp
     laid down. *)
 
 val scenario_cert :
-  Rt_core.Model.t -> Contingency.scenario -> Rt_core.Certificate.mp
+  Rt_core.Model.t -> Contingency.scenario -> Rt_check.Certificate.mp
 (** [scenario_cert m s] is the certificate for a contingency scenario
     of the {e original} model [m] (the digest binds to [m], not to the
     degraded variant): [s.dropped] becomes the certificate's dropped
@@ -29,7 +29,7 @@ val scenario_cert :
     down). *)
 
 val table_cert :
-  Rt_core.Model.t -> Contingency.table -> Rt_core.Certificate.mp_table
+  Rt_core.Model.t -> Contingency.table -> Rt_check.Certificate.mp_table
 (** [table_cert m t] packages the nominal system plus every {e
     feasible} scenario (infeasible crash slots carry no schedule to
     certify) with the table's reconfiguration bounds. *)

@@ -1,4 +1,5 @@
 open Rt_core
+module Certificate = Rt_check.Certificate
 
 let header = "# rtsyn plan v1"
 

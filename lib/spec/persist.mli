@@ -38,7 +38,7 @@ val load_file :
 
 (** {1 Certificates}
 
-    Serialization of {!Rt_core.Certificate} witnesses: the JSON
+    Serialization of {!Rt_check.Certificate} witnesses: the JSON
     produced by [Certificate.to_json], extended with a ["model"] field
     holding the certified model as specification source — synthesis
     may rewrite the model (merging, pipelining) before scheduling, and
@@ -49,7 +49,7 @@ val load_file :
     result).  The file and its digest come from one renderer
     ({!Rt_graph.Sink}), written to a buffer or to a hasher. *)
 
-val save_certificate_string : Rt_core.Model.t -> Rt_core.Certificate.t -> string
+val save_certificate_string : Rt_core.Model.t -> Rt_check.Certificate.t -> string
 (** [save_certificate_string m cert] renders the certificate file
     contents; [m] must be the model the certificate was built from
     ([cert] must carry its digest).  The pair is {e canonicalized}
@@ -63,7 +63,7 @@ val save_certificate_string : Rt_core.Model.t -> Rt_core.Certificate.t -> string
     either way.  Raises [Invalid_argument] if [m] is not expressible in
     the spec language or [cert] does not bind to [m]. *)
 
-val certificate_digest : Rt_core.Model.t -> Rt_core.Certificate.t -> string
+val certificate_digest : Rt_core.Model.t -> Rt_check.Certificate.t -> string
 (** [certificate_digest m cert] is the FNV-1a digest (["fnv1a:%016x"])
     of exactly the bytes {!save_certificate_string} would return, with
     the same canonicalization and the same refusals, computed by
@@ -71,7 +71,7 @@ val certificate_digest : Rt_core.Model.t -> Rt_core.Certificate.t -> string
     The daemon journals it for every certificate it issues. *)
 
 val check_certificate :
-  Rt_core.Model.t -> Rt_core.Certificate.t -> (unit, string) result
+  Rt_core.Model.t -> Rt_check.Certificate.t -> (unit, string) result
 (** [check_certificate m cert] makes the checks {!certificate_digest}
     makes before it renders anything: [cert] binds to [m], and [m]
     prints and elaborates back (names the spec language can read
@@ -79,14 +79,14 @@ val check_certificate :
     raise [Invalid_argument] with; nothing is rendered or hashed. *)
 
 val save_certificate_file :
-  string -> Rt_core.Model.t -> Rt_core.Certificate.t -> unit
+  string -> Rt_core.Model.t -> Rt_check.Certificate.t -> unit
 (** Write {!save_certificate_string} to a file. *)
 
 val load_certificate_string :
-  string -> (Rt_core.Model.t * Rt_core.Certificate.t, string) result
+  string -> (Rt_core.Model.t * Rt_check.Certificate.t, string) result
 (** Parse a certificate JSON document and elaborate its embedded model
     (no semantic validation of the witnesses). *)
 
 val load_certificate_file :
-  string -> (Rt_core.Model.t * Rt_core.Certificate.t, string) result
+  string -> (Rt_core.Model.t * Rt_check.Certificate.t, string) result
 (** Read and {!load_certificate_string}. *)

@@ -1,4 +1,5 @@
 open Rt_core
+module Certificate = Rt_check.Certificate
 
 type kind = Slot_swap | Window_shift | Digest_tamper | Drop_witness
 

@@ -3,7 +3,7 @@
     The certified-schedule pipeline is only as trustworthy as the
     checker's ability to notice corruption, so this harness produces
     {e guaranteed-bogus} variants of a genuine certificate and the test
-    suite asserts {!Rt_core.Checker.check} rejects every one:
+    suite asserts {!Rt_check.Checker.check} rejects every one:
 
     - {e slot swap} — exchange two unequal schedule slots underneath a
       witnessed instance start, so the witnessed element no longer runs
@@ -30,13 +30,13 @@ val kinds : kind list
 val kind_name : kind -> string
 (** Stable label, e.g. ["slot-swap"]. *)
 
-val mutate : kind -> Rt_core.Certificate.t -> Rt_core.Certificate.t option
+val mutate : kind -> Rt_check.Certificate.t -> Rt_check.Certificate.t option
 (** [mutate k cert] applies [k] at the first applicable site, or [None]
     when the certificate offers no such site (e.g. dropping a witness
     from an empty witness list, or swapping slots of a constant
     schedule). *)
 
-val mutants : Rt_core.Certificate.t -> (string * Rt_core.Certificate.t) list
+val mutants : Rt_check.Certificate.t -> (string * Rt_check.Certificate.t) list
 (** Every applicable mutant, labeled: one digest tamper, plus one drop,
     one window shift and one slot swap {e per witness}, so
     multi-constraint certificates are corrupted at every witness, not

@@ -12,6 +12,8 @@
    gate (.github/workflows/ci.yml). *)
 
 open Rt_core
+module Certificate = Rt_check.Certificate
+module Checker = Rt_check.Checker
 module Suite = Rt_workload.Suite
 module Npc = Rt_workload.Npc
 module Mutate = Rt_workload.Mutate
@@ -644,6 +646,105 @@ let test_streamed_digests () =
   checkb "both refusals were compared" true (!refused >= 34)
 
 (* ------------------------------------------------------------------ *)
+(* Certification agrees with verification                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The daemon accepts a schedule through Certify and the trusted
+   Checker alone, with no whole-model [Latency.verify] before them.
+   That is sound because the two judges agree: on generated (model,
+   schedule) pairs, "Certify succeeds and the Checker accepts" holds
+   exactly when every verdict of [Latency.verify] is OK.  The pairs are
+   synthesized plans, their phased periodic copies, copies of each
+   constraint at its achieved bound and one slot below it, and a
+   periodic copy whose lcm(period, cycle) exceeds [Trace.max_horizon]. *)
+let test_certify_agrees_with_verify () =
+  let prng = Rt_graph.Prng.create 2727 in
+  let accepted = ref 0 and refused = ref 0 and pairs = ref 0 in
+  let agree what (m : Model.t) sched =
+    incr pairs;
+    let certified =
+      match Certify.schedule m sched with
+      | Ok cert -> Checker.check m cert = Ok ()
+      | Error _ | (exception Invalid_argument _) -> false
+    in
+    let verified =
+      try Latency.all_ok (Latency.verify m sched)
+      with Invalid_argument _ -> false
+    in
+    if certified <> verified then
+      Alcotest.failf "%s: certify and check say %b, verify says %b" what
+        certified verified;
+    if certified then incr accepted else incr refused
+  in
+  let with_constraint (m : Model.t) c =
+    Model.make ~comm:m.Model.comm ~constraints:(m.Model.constraints @ [ c ])
+  in
+  let copy (c : Timing.t) ~period ~deadline =
+    let t =
+      Timing.make ~name:"copy" ~graph:c.Timing.graph ~period ~deadline
+        ~kind:c.Timing.kind
+    in
+    if c.Timing.offset = 0 then t else Timing.with_offset t c.Timing.offset
+  in
+  for i = 0 to 39 do
+    let raw =
+      match i mod 5 with
+      | 0 ->
+          Rt_workload.Model_gen.dag_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 2)
+            ~utilization:0.5 ~periods:[ 10; 12; 20 ]
+      | 1 ->
+          Rt_workload.Model_gen.single_op_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~max_weight:3 ~target_ratio_sum:0.7
+      | 2 ->
+          Rt_workload.Model_gen.shared_block_model prng
+            ~n_pairs:(1 + Rt_graph.Prng.int prng 2)
+            ~shared_weight:2 ~private_weight:1 ~period:16
+      | 3 ->
+          Rt_workload.Model_gen.periodic_chain_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 2)
+            ~utilization:0.6 ~periods:[ 8; 12; 24 ]
+      | _ ->
+          Rt_workload.Model_gen.unit_chain_model prng
+            ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+            ~n_elements:8 ~max_deadline:16
+    in
+    match Synthesis.synthesize ~merge:false ~pipeline:false raw with
+    | Error _ -> ()
+    | Ok p ->
+        let m = p.Synthesis.model_used and sched = p.Synthesis.schedule in
+        let what = Printf.sprintf "model %d" i in
+        agree what m sched;
+        agree (what ^ " phased") (phased prng m) sched;
+        List.iter2
+          (fun (c : Timing.t) (v : Latency.verdict) ->
+            match v.Latency.achieved with
+            | None -> ()
+            | Some a ->
+                let at d =
+                  let c' = copy c ~period:c.Timing.period ~deadline:d in
+                  agree
+                    (Printf.sprintf "%s: %s at %d" what c.Timing.name d)
+                    (with_constraint m c') sched
+                in
+                at (max 1 a);
+                if a > 1 then at (a - 1))
+          m.Model.constraints (Latency.verify m sched);
+        (* A period past the horizon: neither judge can unroll it. *)
+        let c = List.hd m.Model.constraints in
+        agree (what ^ " long lcm")
+          (with_constraint m
+             (Timing.make ~name:"long" ~graph:c.Timing.graph
+                ~period:(Trace.max_horizon + 1) ~deadline:c.Timing.deadline
+                ~kind:Timing.Periodic))
+          sched
+  done;
+  checkb "at least 150 pairs" true (!pairs >= 150);
+  checkb "both judges accepted some pairs" true (!accepted > 0);
+  checkb "both judges refused some pairs" true (!refused > 0)
+
+(* ------------------------------------------------------------------ *)
 (* The model digest cache                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -861,6 +962,8 @@ let () =
             test_certify_shared_bytes;
           Alcotest.test_case "streamed digests = rendered bytes" `Quick
             test_streamed_digests;
+          Alcotest.test_case "certify and check agree with verify" `Quick
+            test_certify_agrees_with_verify;
           Alcotest.test_case "digest cache = fresh digest" `Quick
             test_digest_cache;
           Alcotest.test_case "multiproc certificate" `Quick

@@ -313,6 +313,70 @@ let test_engine_retire_memo_replay () =
     (admit_path eng (decl_b "b2"));
   Engine.close eng
 
+(* A journaled admit whose schedule parses and is well-formed but
+   leaves a window of the admitted constraint empty: the record's model
+   digest is right, so only the certification step stands between that
+   schedule and the resident state.  Start-up refuses the journal and
+   names the constraint. *)
+let test_engine_replay_refuses_miss () =
+  with_temp_journal @@ fun journal ->
+  (match Engine.create ~journal ~spec:base_spec () with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok eng ->
+      ignore (admit_path eng (decl_q "q"));
+      Engine.close eng);
+  let records =
+    match Journal.load journal with
+    | Ok rs -> rs
+    | Error e -> Alcotest.failf "load: %s" e
+  in
+  (* The base schedule runs f_x once in ten slots: q, deadline 6 on
+     f_x, misses a window of it. *)
+  let base_schedule, m =
+    match records with
+    | Journal.Init i :: _ -> (
+        match Rt_spec.Elaborate.load i.spec with
+        | Ok m -> (i.schedule, m)
+        | Error es -> Alcotest.failf "init: %s" (String.concat "; " es))
+    | _ -> Alcotest.fail "journal does not start with an init record"
+  in
+  let tampered =
+    List.map
+      (function
+        | Journal.Admit r ->
+            (match
+               Schedule.of_string m.Model.comm base_schedule
+               |> Result.map (Schedule.validate m.Model.comm)
+             with
+            | Ok (Ok ()) -> ()
+            | _ -> Alcotest.fail "the base schedule is not well-formed");
+            Journal.Admit { r with schedule = base_schedule }
+        | r -> r)
+      records
+  in
+  Sys.remove journal;
+  (match Journal.open_append journal with
+  | Error e -> Alcotest.failf "rewrite: %s" e
+  | Ok jh ->
+      List.iter
+        (fun r ->
+          match Journal.append jh r with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "append: %s" e)
+        tampered;
+      Journal.close jh);
+  match Engine.create ~journal ~spec:base_spec () with
+  | Ok eng ->
+      Engine.close eng;
+      Alcotest.fail "a journaled schedule that misses q must refuse to start"
+  | Error e ->
+      let needle = "constraint q:" in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length e && (String.sub e i n = needle || has (i + 1))
+      in
+      checkb ("the refusal names q: " ^ e) true (has 0)
+
 (* A deadline near max_int would overflow the certify horizon (cycle +
    2 * deadline + 1), and the trusted core would veto the answer.  Such
    a declaration is invalid: it must be rejected before any solve and
@@ -1225,7 +1289,15 @@ let test_what_if_no_digest () =
    component pass, then the whole model.  The histograms are in
    microseconds: what the admit and the [stats] after it add to each
    sum (read in process, where the transport domain runs) fits in the
-   client's wall-clock window around them. *)
+   client's wall-clock window around them.
+
+   That admit's component interleave misses a window, so Certify
+   refuses it and the whole-model fallback is certified again: two
+   observations of check_us.  No whole-model verify runs on any path:
+   the [verify] stage counts only the warm rung's one-constraint
+   probe, which an admit past the memo makes whether it hits (a warm
+   admit) or misses (a synth admit).  Every later answer below builds
+   one certificate and checks it once. *)
 let test_stats_stages () =
   let dir = socket_dir "rtsynd_stats" in
   let sock = Filename.concat dir "s" in
@@ -1321,8 +1393,46 @@ let test_stats_stages () =
       ("request_us", 2., 2.);
       ("admit_us", 0., 1.);
       ("solve_us", 2., 2.);
-      ("check_us", 1., 1.);
+      ("check_us", 1., 2.);
       ("conn_request_us", 2., 2.);
+    ];
+  let admit_line id decl =
+    Printf.sprintf {|{"v":1,"id":"%s","op":"admit","decl":"%s"}|} id decl
+  in
+  List.iter
+    (fun (what, line, path, solves, verifies) ->
+      let before = stats () in
+      let answer = request line in
+      let after = stats () in
+      checks (what ^ " answered") "" (error_kind answer);
+      Option.iter
+        (fun p ->
+          checks (what ^ ": path") p
+            (Option.value ~default:"" (field answer "path")))
+        path;
+      let stage name = ran (stages before) (stages after) name in
+      Alcotest.(check (float 0.)) (what ^ ": solve_us") solves
+        (ran before after "solve_us");
+      Alcotest.(check (float 0.)) (what ^ ": verify") verifies (stage "verify");
+      Alcotest.(check (float 0.)) (what ^ ": certify") 1. (stage "certify");
+      Alcotest.(check (float 0.)) (what ^ ": check") 1. (stage "check"))
+    [
+      (* A new f_y constraint joins a's component; px's is reused, and
+         the interleave is certified on the component pass. *)
+      ( "decomposed synth admit",
+        admit_line "n"
+          "constraint n asynchronous separation 5 deadline 5 { f_y; }",
+        Some "synth", 1., 1. );
+      ( "warm admit",
+        admit_line "b"
+          "constraint b asynchronous separation 20 deadline 20 { f_y; }",
+        Some "warm", 0., 1. );
+      ("retire", {|{"v":1,"id":"r","op":"retire","name":"b"}|}, None, 0., 0.);
+      ( "memo re-admit",
+        admit_line "b2"
+          "constraint b2 asynchronous separation 20 deadline 20 { f_y; }",
+        Some "memo", 0., 0. );
+      ("reverify", {|{"v":1,"id":"v","op":"reverify"}|}, None, 0., 0.);
     ]
 
 let () =
@@ -1347,6 +1457,8 @@ let () =
             test_engine_admission_contract;
           Alcotest.test_case "retire reseeds the memo on replay" `Quick
             test_engine_retire_memo_replay;
+          Alcotest.test_case "replay refuses a schedule that misses" `Quick
+            test_engine_replay_refuses_miss;
           Alcotest.test_case "structural candidate = round trip" `Quick
             test_structural_candidate;
           Alcotest.test_case "old journal replays to its digest" `Quick
