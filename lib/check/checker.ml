@@ -8,56 +8,76 @@ let finish_errs errs =
 
 (* {1 Uniprocessor} *)
 
+(* Runs of [check_witness] since start-up: the checker's work as a
+   count that machine load cannot move. *)
+let witness_count = Atomic.make 0
+let witness_checks () = Atomic.get witness_count
+
+(* An error's subject: the constraint's name, followed for a periodic
+   invocation by its release time [at] ([at < 0] for none).  Rendered
+   only when an error is reported. *)
+let label name at = if at < 0 then name else Printf.sprintf "%s@%d" name at
+
 (* Re-validate one claimed execution against the checker's own trace
    decomposition: every node's instance exists exactly as claimed,
    distinct nodes take distinct instances, precedence edges finish
-   before their consumer starts, and every slot lies in [lo, hi]. *)
-let check_exec errs tr (c : Timing.t) ~label ~lo ~hi (x : Certificate.exec) =
+   before their consumer starts, and every slot lies in [lo, hi].
+   Answers the execution's earliest start, or [-1] if it fails (the
+   range pass in [check] has made every start non-negative). *)
+let check_exec errs tr (c : Timing.t) ~at ~lo ~hi (x : Certificate.exec) =
+  let name = c.Timing.name in
   let tg = c.Timing.graph in
   let n = Task_graph.size tg in
   if Array.length x <> n then begin
-    err errs "%s: witness has %d entries for %d task-graph nodes" label
-      (Array.length x) n;
-    None
+    err errs "%s: witness has %d entries for %d task-graph nodes"
+      (label name at) (Array.length x) n;
+    -1
   end
   else begin
-    let ok = ref true in
-    let bad fmt = Printf.ksprintf (fun s -> ok := false; errs := s :: !errs) fmt in
-    Array.iteri
-      (fun v (s, f) ->
-        let e = Task_graph.element_of_node tg v in
-        (match Trace.first_at_or_after tr ~elem:e ~time:s with
-        | Some inst when inst.Trace.start = s && inst.Trace.finish = f -> ()
-        | _ ->
-            bad "%s: node %d claims an execution of element %d at [%d,%d) \
-                 that the trace does not contain"
-              label v e s f);
-        if s < lo || f > hi then
-          bad "%s: node %d execution [%d,%d) outside window [%d,%d]" label v s
-            f lo hi)
-      x;
-    let seen = Hashtbl.create 8 in
-    Array.iteri
-      (fun v (s, _) ->
-        let e = Task_graph.element_of_node tg v in
-        match Hashtbl.find_opt seen (e, s) with
-        | Some v0 ->
-            bad "%s: nodes %d and %d share the instance of element %d at %d"
-              label v0 v e s
-        | None -> Hashtbl.add seen (e, s) v)
-      x;
+    let before = !errs in
+    for v = 0 to n - 1 do
+      let s, f = x.(v) in
+      let e = Task_graph.element_of_node tg v in
+      (match Trace.first_at_or_after tr ~elem:e ~time:s with
+      | Some inst when inst.Trace.start = s && inst.Trace.finish = f -> ()
+      | _ ->
+          err errs
+            "%s: node %d claims an execution of element %d at [%d,%d) that \
+             the trace does not contain"
+            (label name at) v e s f);
+      if s < lo || f > hi then
+        err errs "%s: node %d execution [%d,%d) outside window [%d,%d]"
+          (label name at) v s f lo hi
+    done;
+    (* Task graphs are tiny, so nodes are compared pairwise; a shared
+       instance is reported against the first node that took it. *)
+    for v = 1 to n - 1 do
+      let e = Task_graph.element_of_node tg v and s = fst x.(v) in
+      let u = ref 0 in
+      while
+        !u < v && not (Task_graph.element_of_node tg !u = e && fst x.(!u) = s)
+      do
+        incr u
+      done;
+      if !u < v then
+        err errs "%s: nodes %d and %d share the instance of element %d at %d"
+          (label name at) !u v e s
+    done;
     List.iter
       (fun (u, v) ->
         let _, fu = x.(u) and sv, _ = x.(v) in
         if fu > sv then
-          bad "%s: precedence %d->%d violated (finish %d > start %d)" label u
-            v fu sv)
+          err errs "%s: precedence %d->%d violated (finish %d > start %d)"
+            (label name at) u v fu sv)
       (Task_graph.edges tg);
-    if not !ok then None
-    else
-      Some
-        ( Array.fold_left (fun a (s, _) -> min a s) max_int x,
-          Array.fold_left (fun a (_, f) -> max a f) 0 x )
+    if !errs != before then -1
+    else begin
+      let first = ref max_int in
+      for v = 0 to n - 1 do
+        first := min !first (fst x.(v))
+      done;
+      !first
+    end
   end
 
 (* Invocation phases of a periodic constraint repeat with
@@ -69,6 +89,7 @@ let super_of cycle (c : Timing.t) =
   | _ | (exception Rt_graph.Intmath.Overflow) -> None
 
 let check_witness errs tr ~cycle (c : Timing.t) w =
+  Atomic.incr witness_count;
   let d = c.Timing.deadline in
   let name = c.Timing.name in
   match (c.Timing.kind, w) with
@@ -79,35 +100,29 @@ let check_witness errs tr ~cycle (c : Timing.t) w =
       (* Covering chain: e_1 covers window starts [0, s_1]; e_(i+1)
          covers (s_i, s_(i+1)]; the last start reaches the cycle
          boundary; periodicity of the well-formed schedule does the
-         rest. *)
+         rest.  [chain] answers the last start, [-1] once a link
+         fails. *)
+      let rec chain s_prev = function
+        | x :: rest when s_prev >= 0 ->
+            let s = check_exec errs tr c ~at:(-1) ~lo:0 ~hi:(s_prev + 1 + d) x in
+            if s >= 0 && s <= s_prev then begin
+              err errs "%s: chain starts not increasing (%d after %d)" name s
+                s_prev;
+              -1
+            end
+            else chain s rest
+        | _ -> s_prev
+      in
       match execs with
       | [] -> err errs "%s: empty witness chain" name
       | first :: rest ->
-          let prev =
-            ref (check_exec errs tr c ~label:name ~lo:0 ~hi:d first)
+          let s_last =
+            chain (check_exec errs tr c ~at:(-1) ~lo:0 ~hi:d first) rest
           in
-          List.iter
-            (fun x ->
-              match !prev with
-              | None -> ()
-              | Some (s_prev, _) -> (
-                  match
-                    check_exec errs tr c ~label:name ~lo:0
-                      ~hi:(s_prev + 1 + d) x
-                  with
-                  | Some (s, _) when s <= s_prev ->
-                      err errs
-                        "%s: chain starts not increasing (%d after %d)" name
-                        s s_prev;
-                      prev := None
-                  | r -> prev := r))
-            rest;
-          (match !prev with
-          | Some (s_last, _) when s_last < cycle - 1 ->
-              err errs
-                "%s: chain stops at start %d, before the cycle boundary %d"
-                name s_last (cycle - 1)
-          | _ -> ()))
+          if s_last >= 0 && s_last < cycle - 1 then
+            err errs
+              "%s: chain stops at start %d, before the cycle boundary %d" name
+              s_last (cycle - 1))
   | Timing.Periodic, Certificate.Periodic execs -> (
       match super_of cycle c with
       | None ->
@@ -119,27 +134,80 @@ let check_witness errs tr ~cycle (c : Timing.t) w =
             err errs "%s: %d witnessed invocations, expected %d" name
               (Array.length execs) n_inv
           else
-            Array.iteri
-              (fun k x ->
-                let t = c.Timing.offset + (k * c.Timing.period) in
-                ignore
-                  (check_exec errs tr c
-                     ~label:(Printf.sprintf "%s@%d" name t)
-                     ~lo:t ~hi:(t + d) x))
-              execs)
+            for k = 0 to n_inv - 1 do
+              let t = c.Timing.offset + (k * c.Timing.period) in
+              ignore (check_exec errs tr c ~at:t ~lo:t ~hi:(t + d) execs.(k))
+            done)
 
-let check (m : Model.t) (cert : Certificate.t) =
-  let errs = ref [] in
-  let digest = Certificate.digest_of_model m in
-  if cert.Certificate.digest <> digest then
-    err errs "digest mismatch: certificate %s, model %s"
-      cert.Certificate.digest digest;
-  (match Schedule.validate m.Model.comm cert.Certificate.schedule with
-  | Ok () -> ()
-  | Error es -> List.iter (fun e -> err errs "schedule: %s" e) es);
-  (* Name cross-checks via hash sets: the daemon re-checks certificates
-     on every admission, so these passes must stay linear at 10k
-     constraints (List.mem here was quadratic and dominated admission). *)
+(* {2 One check per distinct witness}
+
+   [check_witness] reads nothing from its constraint but the shape
+   compared by [same_shape] and the name, and the name appears only in
+   error text.  Everything else it reads (the cycle and the trace) is
+   the same for every constraint of one certificate.  So two
+   constraints of one shape that carry equal witnesses pass or fail
+   together, and [check] runs each distinct (shape, witness) once.
+
+   The shape is read here from the constraints' raw fields, never from
+   [Timing.latency_class] or a signature: those are the engines'
+   sharing keys, and a bug in one of them must not make the checker
+   skip a check.  Witnesses are compared structurally, so a certificate
+   read from disk, which shares no values, is grouped alike.  Only a
+   check that passed is reused: a failing witness is checked again for
+   every constraint that carries it, so each of them reports its own
+   errors, in model order. *)
+
+(* Kind and deadline, the task graph's node map and edges, and the
+   period and offset of a periodic constraint. *)
+let same_shape (a : Timing.t) (b : Timing.t) =
+  let same_graph ga gb =
+    let n = Task_graph.size ga in
+    n = Task_graph.size gb
+    && (let v = ref 0 in
+        while
+          !v < n && Task_graph.element_of_node ga !v = Task_graph.element_of_node gb !v
+        do
+          incr v
+        done;
+        !v = n)
+    && Task_graph.edges ga = Task_graph.edges gb
+  in
+  (match (a.Timing.kind, b.Timing.kind) with
+  | Timing.Asynchronous, Timing.Asynchronous -> true
+  | Timing.Periodic, Timing.Periodic ->
+      a.Timing.period = b.Timing.period && a.Timing.offset = b.Timing.offset
+  | (Timing.Asynchronous | Timing.Periodic), _ -> false)
+  && a.Timing.deadline = b.Timing.deadline
+  && (a.Timing.graph == b.Timing.graph || same_graph a.Timing.graph b.Timing.graph)
+
+type group = {
+  shape : Timing.t;  (** The first constraint seen with this shape. *)
+  witness : Certificate.witness;
+  mutable passed : bool;
+}
+
+(* Groups are found by the witness's structural hash, which reads a
+   bounded prefix of it; [same_shape] and the witness comparison decide.
+   A bucket stops growing at this length, so that a certificate with
+   many witnesses alike in that prefix (none that [Certify] writes)
+   cannot make the search quadratic: a group not found is checked
+   again, never skipped. *)
+let max_bucket = 8
+
+(* Certify lists the witnesses in model order, so constraints and
+   witnesses pair name for name.  Constraint names in a [Model.t] are
+   distinct (its constructors refuse duplicates), so such a pairing has
+   no duplicate, missing or unknown witness. *)
+let rec in_lockstep cs ws =
+  match (cs, ws) with
+  | [], [] -> true
+  | (c : Timing.t) :: cs, (n, _) :: ws ->
+      String.equal c.Timing.name n && in_lockstep cs ws
+  | _ -> false
+
+(* Any other listing is paired through hash sets, which report each
+   name error; the witness of every constraint when there is none. *)
+let pair_by_name errs (m : Model.t) (cert : Certificate.t) =
   let names = List.map (fun (c : Timing.t) -> c.Timing.name) m.Model.constraints in
   let wnames = List.map fst cert.Certificate.witnesses in
   let name_set = Hashtbl.create (List.length names) in
@@ -160,9 +228,52 @@ let check (m : Model.t) (cert : Certificate.t) =
       if not (Hashtbl.mem name_set n) then
         err errs "witness for unknown constraint %s" n)
     wnames;
+  fun (c : Timing.t) -> Hashtbl.find witness_tbl c.Timing.name
+
+let check (m : Model.t) (cert : Certificate.t) =
+  let errs = ref [] in
+  let digest = Certificate.digest_of_model m in
+  if cert.Certificate.digest <> digest then
+    err errs "digest mismatch: certificate %s, model %s"
+      cert.Certificate.digest digest;
+  (match Schedule.validate m.Model.comm cert.Certificate.schedule with
+  | Ok () -> ()
+  | Error es -> List.iter (fun e -> err errs "schedule: %s" e) es);
+  let witness_of =
+    if in_lockstep m.Model.constraints cert.Certificate.witnesses then None
+    else Some (pair_by_name errs m cert)
+  in
   match finish_errs errs with
   | Error _ as e -> e
   | Ok () ->
+      let buckets = Hashtbl.create 64 in
+      let distinct = ref [] in
+      let group_of (c : Timing.t) w =
+        let h = Hashtbl.hash w in
+        let bucket = Option.value ~default:[] (Hashtbl.find_opt buckets h) in
+        match
+          List.find_opt
+            (fun g ->
+              same_shape g.shape c && (g.witness == w || compare g.witness w = 0))
+            bucket
+        with
+        | Some g -> g
+        | None ->
+            let g = { shape = c; witness = w; passed = false } in
+            if List.compare_length_with bucket max_bucket < 0 then
+              Hashtbl.replace buckets h (g :: bucket);
+            distinct := g :: !distinct;
+            g
+      in
+      let groups =
+        match witness_of with
+        | None ->
+            List.map2
+              (fun c (_, w) -> group_of c w)
+              m.Model.constraints cert.Certificate.witnesses
+        | Some witness_of ->
+            List.map (fun c -> group_of c (witness_of c)) m.Model.constraints
+      in
       let cycle = Schedule.length cert.Certificate.schedule in
       (* Bound the horizon from the model before trusting any witness
          coordinate, so a corrupt certificate cannot make the checker
@@ -171,7 +282,8 @@ let check (m : Model.t) (cert : Certificate.t) =
       let cap =
         min Trace.max_horizon
         @@ List.fold_left
-          (fun acc (c : Timing.t) ->
+          (fun acc g ->
+            let c = g.shape in
             let reach =
               match c.Timing.kind with
               | Timing.Asynchronous -> cycle + (2 * c.Timing.deadline) + 2
@@ -181,14 +293,14 @@ let check (m : Model.t) (cert : Certificate.t) =
                   | None -> acc)
             in
             max acc reach)
-          cycle m.Model.constraints
+          cycle !distinct
       in
       let horizon = ref cycle in
       let in_range = ref true in
       List.iter
-        (fun (_, w) ->
+        (fun g ->
           let execs =
-            match w with
+            match g.witness with
             | Certificate.Async es -> es
             | Certificate.Periodic es -> Array.to_list es
           in
@@ -197,7 +309,7 @@ let check (m : Model.t) (cert : Certificate.t) =
                  if s < 0 || f < s || f > cap then in_range := false
                  else horizon := max !horizon f))
             execs)
-        cert.Certificate.witnesses;
+        !distinct;
       if not !in_range then
         Error [ "witness coordinates outside the certifiable range" ]
       else begin
@@ -205,12 +317,14 @@ let check (m : Model.t) (cert : Certificate.t) =
           Trace.of_schedule m.Model.comm cert.Certificate.schedule
             ~horizon:!horizon
         in
-        List.iter
-          (fun (c : Timing.t) ->
-            match Hashtbl.find_opt witness_tbl c.Timing.name with
-            | Some w -> check_witness errs tr ~cycle c w
-            | None -> ())
-          m.Model.constraints;
+        List.iter2
+          (fun c g ->
+            if not g.passed then begin
+              let before = !errs in
+              check_witness errs tr ~cycle c g.witness;
+              g.passed <- !errs == before
+            end)
+          m.Model.constraints groups;
         finish_errs errs
       end
 

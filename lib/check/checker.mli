@@ -19,13 +19,28 @@
     reaches the cycle boundary), and periodicity extends the proof to
     every window.  For a periodic constraint, one witnessed execution
     per invocation phase over [lcm(p, cycle)] covers all invocations
-    for the same reason. *)
+    for the same reason.
+
+    Each distinct (shape, witness) is checked once.  The shape is what
+    the witness check reads from a constraint besides its name (kind,
+    deadline, the task graph's node map and edges, and a periodic
+    constraint's period and offset); the name appears only in error
+    text.  So constraints of one shape carrying structurally equal
+    witnesses pass or fail together.  Only a passed check is reused: a
+    failing witness is checked for each constraint that carries it, so
+    each reports its own errors. *)
 
 open Rt_base
 
 val check : Model.t -> Certificate.t -> (unit, string list) result
 (** [check m cert] accepts iff [cert] proves its schedule feasible
     for [m].  All diagnostics are returned on failure. *)
+
+val witness_checks : unit -> int
+(** Witness checks run by {!check} since start-up, counted on every
+    domain: one per distinct (shape, witness) of a certificate that
+    passes, and one more per further constraint carrying a failing
+    witness. *)
 
 val check_multi : Model.t -> Certificate.mp -> (unit, string list) result
 (** Multiprocessor counterpart: re-derives the window arithmetic

@@ -109,6 +109,7 @@ let stats_response engine ~id ~depth ~started =
       ("memo_misses", Protocol.I (c "daemon/memo_misses"));
       ("warm_hits", Protocol.I (c "daemon/warm_hits"));
       ("check_failures", Protocol.I (c "daemon/check_failures"));
+      ("check_witnesses", Protocol.I (Rt_check.Checker.witness_checks ()));
       ("journal_records", Protocol.I (c "daemon/journal_records"));
       ("replayed_records", Protocol.I (c "daemon/replayed_records"));
       ("conn_opened", Protocol.I (c "daemon/conn_opened"));

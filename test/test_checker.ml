@@ -745,6 +745,251 @@ let test_certify_agrees_with_verify () =
   checkb "both judges refused some pairs" true (!refused > 0)
 
 (* ------------------------------------------------------------------ *)
+(* One check per distinct (shape, witness)                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Two elements, each feeding the other, run once per 8-slot cycle:
+   f_x in slot 0, f_y in slot 1. *)
+let shared_comm =
+  Comm_graph.create
+    ~elements:[ ("f_x", 1, true); ("f_y", 1, true) ]
+    ~edges:[ ("f_x", "f_y"); ("f_y", "f_x") ]
+
+let shared_sched =
+  Schedule.of_array
+    (Array.init 8 (function
+      | 0 -> Schedule.Run 0
+      | 1 -> Schedule.Run 1
+      | _ -> Schedule.Idle))
+
+let async_c name ?(nodes = [| 0 |]) ?(edges = []) deadline =
+  Timing.make ~name ~graph:(Task_graph.create ~nodes ~edges) ~period:8
+    ~deadline ~kind:Timing.Asynchronous
+
+let periodic_c name ?(offset = 0) ~period deadline =
+  let c =
+    Timing.make ~name ~graph:(Task_graph.singleton 0) ~period ~deadline
+      ~kind:Timing.Periodic
+  in
+  if offset = 0 then c else Timing.with_offset c offset
+
+(* [a]'s own witness, certified alone, listed for [a] and, physically
+   shared, for [b]; the checker's verdict on that certificate. *)
+let check_shared a b =
+  let m_a = Model.make ~comm:shared_comm ~constraints:[ a ] in
+  let w =
+    match Certify.schedule m_a shared_sched with
+    | Ok { Certificate.witnesses = [ (_, w) ]; _ } -> w
+    | Ok _ -> Alcotest.fail "one constraint, one witness"
+    | Error e -> Alcotest.failf "certify %s: %s" a.Timing.name e
+  in
+  let m = Model.make ~comm:shared_comm ~constraints:[ a; b ] in
+  Checker.check m
+    (Certificate.make m shared_sched [ (a.Timing.name, w); (b.Timing.name, w) ])
+
+(* A witness shared by two constraints that differ in one field the
+   check reads must be checked for each: the certificate is refused, and
+   every error names the constraint the witness does not fit. *)
+let test_shared_witness_one_field () =
+  List.iter
+    (fun (field, a, b) ->
+      match check_shared a b with
+      | Ok () -> Alcotest.failf "%s: a witness of the wrong shape accepted" field
+      | Error errs ->
+          List.iter
+            (fun e ->
+              checkb
+                (Printf.sprintf "%s: %S names b" field e)
+                true
+                (String.starts_with ~prefix:"b:" e
+                || String.starts_with ~prefix:"b@" e))
+            errs)
+    [
+      ("deadline", async_c "a" 8, async_c "b" 7);
+      ( "edges",
+        async_c "a" ~nodes:[| 0; 1 |] 10,
+        async_c "b" ~nodes:[| 0; 1 |] ~edges:[ (1, 0) ] 10 );
+      ("node map", async_c "a" 8, async_c "b" ~nodes:[| 1 |] 8);
+      ("offset", periodic_c "a" ~period:8 2, periodic_c "b" ~offset:1 ~period:8 2);
+      ("period", periodic_c "a" ~period:4 8, periodic_c "b" ~period:8 8);
+      ("kind", async_c "a" 8, periodic_c "b" ~period:8 8);
+    ]
+
+(* The words of two messages: a periodic invocation's label is built
+   only on error, and a shared instance is found without a table. *)
+let test_pinned_messages () =
+  Alcotest.(check (result unit (list string)))
+    "periodic miss"
+    (Error [ "b@1: node 0 execution [0,1) outside window [1,3]" ])
+    (check_shared (periodic_c "a" ~period:8 2)
+       (periodic_c "b" ~offset:1 ~period:8 2));
+  let twice = async_c "s" ~nodes:[| 0; 0 |] 10 in
+  let m = Model.make ~comm:shared_comm ~constraints:[ twice ] in
+  Alcotest.(check (result unit (list string)))
+    "shared instance"
+    (Error [ "s: nodes 0 and 1 share the instance of element 0 at 0" ])
+    (Checker.check m
+       (Certificate.make m shared_sched
+          [ ("s", Certificate.Async [ [| (0, 1); (0, 1) |] ]) ]))
+
+(* A witness that fails is checked for every constraint that carries it,
+   so each reports its own error. *)
+let test_failing_shared_witness () =
+  Alcotest.(check (result unit (list string)))
+    "one error per constraint"
+    (Error
+       [
+         "a: node 0 execution [8,9) outside window [0,8]";
+         "b: node 0 execution [8,9) outside window [0,8]";
+       ])
+    (let m8 = Model.make ~comm:shared_comm ~constraints:[ async_c "a" 8 ] in
+     match Certify.schedule m8 shared_sched with
+     | Ok { Certificate.witnesses = [ (_, w) ]; _ } ->
+         let m =
+           Model.make ~comm:shared_comm
+             ~constraints:[ async_c "a" 7; async_c "b" 7 ]
+         in
+         Checker.check m
+           (Certificate.make m shared_sched [ ("a", w); ("b", w) ])
+     | _ -> Alcotest.fail "fixture certification failed")
+
+(* Two constraints of one shape whose witnesses differ only in their
+   last execution, far past the prefix a structural hash reads: the
+   comparison, not the hash, tells them apart, and the tampered one is
+   refused. *)
+let test_long_witness_prefix () =
+  let sched =
+    Schedule.of_array
+      (Array.init 64 (fun i -> if i mod 2 = 0 then Schedule.Run 0 else Schedule.Idle))
+  in
+  let m_a = Model.make ~comm:shared_comm ~constraints:[ async_c "a" 2 ] in
+  match Certify.schedule m_a sched with
+  | Ok { Certificate.witnesses = [ (_, (Certificate.Async execs as wa)) ]; _ } ->
+      let last = List.length execs - 1 in
+      let wb =
+        Certificate.Async
+          (List.mapi
+             (fun i x -> if i < last then x else [| (fst x.(0) + 1, snd x.(0) + 1) |])
+             execs)
+      in
+      checkb "a long chain" true (last >= 16);
+      checkb "the witnesses hash alike" true (Hashtbl.hash wa = Hashtbl.hash wb);
+      let m = Model.make ~comm:shared_comm ~constraints:[ async_c "a" 2; async_c "b" 2 ] in
+      (match Checker.check m (Certificate.make m sched [ ("a", wa); ("b", wb) ]) with
+      | Ok () -> Alcotest.fail "a tampered witness accepted"
+      | Error errs ->
+          List.iter
+            (fun e -> checkb (Printf.sprintf "%S names b" e) true (String.starts_with ~prefix:"b:" e))
+            errs)
+  | _ -> Alcotest.fail "fixture certification failed"
+
+(* The same certificate with no value shared: every execution rebuilt. *)
+let deep_copy (cert : Certificate.t) =
+  let exec x = Array.map (fun (s, f) -> (s, f)) x in
+  {
+    cert with
+    Certificate.witnesses =
+      List.map
+        (fun (n, w) ->
+          ( n,
+            match w with
+            | Certificate.Async es -> Certificate.Async (List.map exec es)
+            | Certificate.Periodic es -> Certificate.Periodic (Array.map exec es)
+          ))
+        cert.Certificate.witnesses;
+  }
+
+(* A second copy of every constraint under a new name, so Certify shares
+   each witness between two constraints. *)
+let doubled (m : Model.t) =
+  Model.make ~comm:m.Model.comm
+    ~constraints:
+      (m.Model.constraints
+      @ List.map
+          (fun (c : Timing.t) ->
+            let c' =
+              Timing.make ~name:(c.Timing.name ^ "_2") ~graph:c.Timing.graph
+                ~period:c.Timing.period ~deadline:c.Timing.deadline
+                ~kind:c.Timing.kind
+            in
+            if c.Timing.offset = 0 then c' else Timing.with_offset c' c.Timing.offset)
+          m.Model.constraints)
+
+(* Sharing and order are invisible to the verdict: on generated models
+   with every constraint doubled, the certificate as built, a deep copy
+   with no value shared, and its witnesses in reverse order (which the
+   checker pairs by name) get the same verdict and the same errors, for
+   the genuine certificate and for every mutant.  The deep copy is
+   grouped as the built one is: it runs as many witness checks, at most
+   one per constraint pair. *)
+let qcheck_sharing_invisible =
+  let gen_seed = QCheck.make QCheck.Gen.(int_bound 10_000) in
+  QCheck.Test.make ~count:50
+    ~name:"verdicts ignore witness sharing and order" gen_seed (fun seed ->
+      let prng = Rt_graph.Prng.create (1 + seed) in
+      let raw =
+        match seed mod 5 with
+        | 0 ->
+            Rt_workload.Model_gen.dag_model prng
+              ~n_constraints:(2 + Rt_graph.Prng.int prng 2)
+              ~utilization:0.5 ~periods:[ 10; 12; 20 ]
+        | 1 ->
+            Rt_workload.Model_gen.single_op_model prng
+              ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+              ~max_weight:3 ~target_ratio_sum:0.7
+        | 2 ->
+            Rt_workload.Model_gen.shared_block_model prng
+              ~n_pairs:(1 + Rt_graph.Prng.int prng 2)
+              ~shared_weight:2 ~private_weight:1 ~period:16
+        | 3 ->
+            Rt_workload.Model_gen.periodic_chain_model prng
+              ~n_constraints:(2 + Rt_graph.Prng.int prng 2)
+              ~utilization:0.6 ~periods:[ 8; 12; 24 ]
+        | _ ->
+            Rt_workload.Model_gen.unit_chain_model prng
+              ~n_constraints:(2 + Rt_graph.Prng.int prng 3)
+              ~n_elements:8 ~max_deadline:16
+      in
+      match Synthesis.synthesize ~merge:false ~pipeline:false raw with
+      | Error _ -> true (* no schedule, nothing to certify *)
+      | Ok p -> (
+          let m = doubled p.Synthesis.model_used in
+          match Certify.schedule m p.Synthesis.schedule with
+          | Error e -> QCheck.Test.fail_reportf "certify failed: %s" e
+          | Ok cert ->
+              let counted c =
+                let before = Checker.witness_checks () in
+                let r = Checker.check m c in
+                (r, Checker.witness_checks () - before)
+              in
+              let genuine, n_built = counted cert in
+              let _, n_copy = counted (deep_copy cert) in
+              if genuine <> Ok () then
+                QCheck.Test.fail_report "genuine certificate rejected";
+              if n_copy <> n_built || 2 * n_built > List.length m.Model.constraints
+              then
+                QCheck.Test.fail_reportf
+                  "%d witness checks built, %d deep-copied, %d constraints"
+                  n_built n_copy (List.length m.Model.constraints);
+              List.for_all
+                (fun (label, c) ->
+                  let r = Checker.check m c in
+                  List.for_all
+                    (fun (what, c') ->
+                      Checker.check m c' = r
+                      || QCheck.Test.fail_reportf "%s: %s changes the verdict"
+                           label what)
+                    [
+                      ("a deep copy", deep_copy c);
+                      ( "reversed order",
+                        {
+                          c with
+                          Certificate.witnesses = List.rev c.Certificate.witnesses;
+                        } );
+                    ])
+                (("genuine", cert) :: Mutate.mutants cert)))
+
+(* ------------------------------------------------------------------ *)
 (* The model digest cache                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -980,6 +1225,15 @@ let () =
           Alcotest.test_case "multiproc tampering rejected" `Quick
             test_multiproc_cert_tamper_rejected;
           QCheck_alcotest.to_alcotest qcheck_random_certified_models;
+          Alcotest.test_case "shared witness, one field differs" `Quick
+            test_shared_witness_one_field;
+          Alcotest.test_case "pinned witness messages" `Quick
+            test_pinned_messages;
+          Alcotest.test_case "failing shared witness: each reports" `Quick
+            test_failing_shared_witness;
+          Alcotest.test_case "witnesses alike in a long prefix" `Quick
+            test_long_witness_prefix;
+          QCheck_alcotest.to_alcotest qcheck_sharing_invisible;
         ] );
       ( "budgets",
         [

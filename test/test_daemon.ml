@@ -1435,6 +1435,71 @@ let test_stats_stages () =
       ("reverify", {|{"v":1,"id":"v","op":"reverify"}|}, None, 0., 0.);
     ]
 
+(* The trusted checker checks each distinct (shape, witness) of a
+   certificate once.  On a base of k residents in two shapes, a what-if
+   of the first shape is certified with one witness per shape (Certify
+   shares them), and the answer's one Checker.check adds exactly two to
+   [check_witnesses], not k + 1. *)
+let test_check_witnesses_per_shape () =
+  with_temp_journal @@ fun journal ->
+  let k = 12 in
+  let spec =
+    String.concat "\n"
+      ([
+         {|system "shapes" {|};
+         "  element f_x weight 1 pipelinable;";
+         "  element f_y weight 1 pipelinable;";
+       ]
+      @ List.init k (fun i ->
+            if i mod 2 = 0 then
+              Printf.sprintf
+                "  constraint p%d periodic period 10 deadline 10 { f_x; }" i
+            else
+              Printf.sprintf
+                "  constraint a%d asynchronous separation 10 deadline 10 { f_y; }"
+                i)
+      @ [ "}" ])
+  in
+  let cfg = { Daemon.default_config with Daemon.journal; spec = Some spec } in
+  match Daemon.create_engine cfg with
+  | Error e -> Alcotest.failf "create: %s" e
+  | Ok (eng, _) ->
+      let serve line =
+        match Daemon.serve_line cfg eng ~started:0. ~depth:0 line with
+        | `Continue r | `Stop r -> r
+      in
+      let open Rt_obs.Json in
+      let stats () =
+        match parse (serve {|{"v":1,"id":"s","op":"stats"}|}) with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "stats does not parse: %s" e
+      in
+      let number path j =
+        match
+          Option.bind
+            (List.fold_left
+               (fun j key -> Option.bind j (member key))
+               (Some j) path)
+            to_float
+        with
+        | Some n -> n
+        | None -> Alcotest.failf "stats lacks %s" (String.concat "." path)
+      in
+      let ran path before after = number path after -. number path before in
+      let s1 = stats () in
+      checks "the what-if is answered" ""
+        (error_kind
+           (serve
+              {|{"v":1,"id":"w","op":"what-if","decl":"constraint w periodic period 10 deadline 10 { f_x; }"}|}));
+      let s2 = stats () in
+      Alcotest.(check (float 0.)) "one trusted check" 1.
+        (ran [ "stages"; "check"; "count" ] s1 s2);
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "two witness checks for %d constraints" (k + 1))
+        2.
+        (ran [ "check_witnesses" ] s1 s2);
+      Engine.close eng
+
 let () =
   Alcotest.run "rt_daemon"
     [
@@ -1479,6 +1544,8 @@ let () =
             test_what_if_no_digest;
           Alcotest.test_case "stats reports every stage" `Quick
             test_stats_stages;
+          Alcotest.test_case "check_witnesses counts distinct witnesses"
+            `Quick test_check_witnesses_per_shape;
         ] );
       ( "framing",
         [
