@@ -21,9 +21,7 @@ let label name at = if at < 0 then name else Printf.sprintf "%s@%d" name at
 (* Re-validate one claimed execution against the checker's own trace
    decomposition: every node's instance exists exactly as claimed,
    distinct nodes take distinct instances, precedence edges finish
-   before their consumer starts, and every slot lies in [lo, hi].
-   Answers the execution's earliest start, or [-1] if it fails (the
-   range pass in [check] has made every start non-negative). *)
+   before their consumer starts, and every slot lies in [lo, hi]. *)
 let check_exec errs tr (c : Timing.t) ~at ~lo ~hi (x : Certificate.exec) =
   let name = c.Timing.name in
   let tg = c.Timing.graph in
@@ -31,24 +29,24 @@ let check_exec errs tr (c : Timing.t) ~at ~lo ~hi (x : Certificate.exec) =
   if Array.length x <> n then begin
     err errs "%s: witness has %d entries for %d task-graph nodes"
       (label name at) (Array.length x) n;
-    -1
+    None
   end
   else begin
-    let before = !errs in
-    for v = 0 to n - 1 do
-      let s, f = x.(v) in
-      let e = Task_graph.element_of_node tg v in
-      (match Trace.first_at_or_after tr ~elem:e ~time:s with
-      | Some inst when inst.Trace.start = s && inst.Trace.finish = f -> ()
-      | _ ->
-          err errs
-            "%s: node %d claims an execution of element %d at [%d,%d) that \
-             the trace does not contain"
-            (label name at) v e s f);
-      if s < lo || f > hi then
-        err errs "%s: node %d execution [%d,%d) outside window [%d,%d]"
-          (label name at) v s f lo hi
-    done;
+    let ok = ref true in
+    let bad fmt = Printf.ksprintf (fun s -> ok := false; errs := s :: !errs) fmt in
+    Array.iteri
+      (fun v (s, f) ->
+        let e = Task_graph.element_of_node tg v in
+        (match Trace.first_at_or_after tr ~elem:e ~time:s with
+        | Some inst when inst.Trace.start = s && inst.Trace.finish = f -> ()
+        | _ ->
+            bad "%s: node %d claims an execution of element %d at [%d,%d) \
+                 that the trace does not contain"
+              (label name at) v e s f);
+        if s < lo || f > hi then
+          bad "%s: node %d execution [%d,%d) outside window [%d,%d]"
+            (label name at) v s f lo hi)
+      x;
     (* Task graphs are tiny, so nodes are compared pairwise; a shared
        instance is reported against the first node that took it. *)
     for v = 1 to n - 1 do
@@ -60,24 +58,21 @@ let check_exec errs tr (c : Timing.t) ~at ~lo ~hi (x : Certificate.exec) =
         incr u
       done;
       if !u < v then
-        err errs "%s: nodes %d and %d share the instance of element %d at %d"
+        bad "%s: nodes %d and %d share the instance of element %d at %d"
           (label name at) !u v e s
     done;
     List.iter
       (fun (u, v) ->
         let _, fu = x.(u) and sv, _ = x.(v) in
         if fu > sv then
-          err errs "%s: precedence %d->%d violated (finish %d > start %d)"
+          bad "%s: precedence %d->%d violated (finish %d > start %d)"
             (label name at) u v fu sv)
       (Task_graph.edges tg);
-    if !errs != before then -1
-    else begin
-      let first = ref max_int in
-      for v = 0 to n - 1 do
-        first := min !first (fst x.(v))
-      done;
-      !first
-    end
+    if not !ok then None
+    else
+      Some
+        ( Array.fold_left (fun a (s, _) -> min a s) max_int x,
+          Array.fold_left (fun a (_, f) -> max a f) 0 x )
   end
 
 (* Invocation phases of a periodic constraint repeat with
@@ -100,29 +95,35 @@ let check_witness errs tr ~cycle (c : Timing.t) w =
       (* Covering chain: e_1 covers window starts [0, s_1]; e_(i+1)
          covers (s_i, s_(i+1)]; the last start reaches the cycle
          boundary; periodicity of the well-formed schedule does the
-         rest.  [chain] answers the last start, [-1] once a link
-         fails. *)
-      let rec chain s_prev = function
-        | x :: rest when s_prev >= 0 ->
-            let s = check_exec errs tr c ~at:(-1) ~lo:0 ~hi:(s_prev + 1 + d) x in
-            if s >= 0 && s <= s_prev then begin
-              err errs "%s: chain starts not increasing (%d after %d)" name s
-                s_prev;
-              -1
-            end
-            else chain s rest
-        | _ -> s_prev
-      in
+         rest. *)
       match execs with
       | [] -> err errs "%s: empty witness chain" name
       | first :: rest ->
-          let s_last =
-            chain (check_exec errs tr c ~at:(-1) ~lo:0 ~hi:d first) rest
+          let prev =
+            ref (check_exec errs tr c ~at:(-1) ~lo:0 ~hi:d first)
           in
-          if s_last >= 0 && s_last < cycle - 1 then
-            err errs
-              "%s: chain stops at start %d, before the cycle boundary %d" name
-              s_last (cycle - 1))
+          List.iter
+            (fun x ->
+              match !prev with
+              | None -> ()
+              | Some (s_prev, _) -> (
+                  match
+                    check_exec errs tr c ~at:(-1) ~lo:0
+                      ~hi:(s_prev + 1 + d) x
+                  with
+                  | Some (s, _) when s <= s_prev ->
+                      err errs
+                        "%s: chain starts not increasing (%d after %d)" name
+                        s s_prev;
+                      prev := None
+                  | r -> prev := r))
+            rest;
+          (match !prev with
+          | Some (s_last, _) when s_last < cycle - 1 ->
+              err errs
+                "%s: chain stops at start %d, before the cycle boundary %d"
+                name s_last (cycle - 1)
+          | _ -> ()))
   | Timing.Periodic, Certificate.Periodic execs -> (
       match super_of cycle c with
       | None ->
@@ -134,10 +135,11 @@ let check_witness errs tr ~cycle (c : Timing.t) w =
             err errs "%s: %d witnessed invocations, expected %d" name
               (Array.length execs) n_inv
           else
-            for k = 0 to n_inv - 1 do
-              let t = c.Timing.offset + (k * c.Timing.period) in
-              ignore (check_exec errs tr c ~at:t ~lo:t ~hi:(t + d) execs.(k))
-            done)
+            Array.iteri
+              (fun k x ->
+                let t = c.Timing.offset + (k * c.Timing.period) in
+                ignore (check_exec errs tr c ~at:t ~lo:t ~hi:(t + d) x))
+              execs)
 
 (* {2 One check per distinct witness}
 
