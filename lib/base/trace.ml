@@ -3,7 +3,6 @@ type instance = {
   index : int;
   start : int;
   finish : int;
-  slots : int array;
 }
 
 type t = { horizon : int; by_elem : instance array array }
@@ -40,16 +39,38 @@ let of_slots g a =
           let slots = slots_of.(e) in
           let count = Array.length slots / w in
           Array.init count (fun k ->
-              let mine = Array.sub slots (k * w) w in
               {
                 elem = e;
                 index = k;
-                start = mine.(0);
-                finish = mine.(w - 1) + 1;
-                slots = mine;
+                start = slots.(k * w);
+                finish = slots.((k * w) + w - 1) + 1;
               }))
   in
   { horizon = Array.length a; by_elem }
+
+(* Records arrive in log order; each element's are consed up in reverse
+   and checked against the one before, so the search's binary search on
+   starts and its early stop on finishes stay sound. *)
+let of_executions g ~horizon records =
+  let n = Comm_graph.n_elements g in
+  let refuse what = invalid_arg ("Trace.of_executions: " ^ what) in
+  if horizon < 0 then refuse "negative horizon";
+  let rev = Array.make n [] in
+  List.iter
+    (fun (e, start, finish) ->
+      if e < 0 || e >= n then refuse "unknown element";
+      if start < 0 || start >= finish || finish > horizon then
+        refuse "execution outside the trace";
+      let index =
+        match rev.(e) with
+        | prev :: _ when prev.start >= start || prev.finish >= finish ->
+            refuse "executions out of pipeline order"
+        | prev :: _ -> prev.index + 1
+        | [] -> 0
+      in
+      rev.(e) <- { elem = e; index; start; finish } :: rev.(e))
+    records;
+  { horizon; by_elem = Array.map (fun l -> Array.of_list (List.rev l)) rev }
 
 let max_horizon = 1 lsl 23
 
@@ -90,14 +111,3 @@ let first_at_or_after t ~elem ~time =
 let nth_instance t ~elem k =
   let arr = instances t elem in
   if k >= 0 && k < Array.length arr then Some arr.(k) else None
-
-let pipeline_ordered t =
-  Array.for_all
-    (fun arr ->
-      let ok = ref true in
-      for i = 1 to Array.length arr - 1 do
-        if arr.(i).start <= arr.(i - 1).start then ok := false;
-        if arr.(i).finish <= arr.(i - 1).finish then ok := false
-      done;
-      !ok)
-    t.by_elem

@@ -13,7 +13,6 @@ type instance = {
   index : int;  (** 0-based execution count of this element. *)
   start : int;  (** First slot index. *)
   finish : int;  (** One past the last slot index. *)
-  slots : int array;  (** All slot indices, ascending. *)
 }
 (** One execution instance of a functional element. *)
 
@@ -24,6 +23,17 @@ val of_slots : Comm_graph.t -> Schedule.slot array -> t
 (** [of_slots g a] decomposes the finite trace [a].  A trailing
     incomplete execution (fewer than [weight] slots) is dropped; it has
     not finished within the trace. *)
+
+val of_executions : Comm_graph.t -> horizon:int -> (int * int * int) list -> t
+(** [of_executions g ~horizon records] is the trace of [horizon] slots
+    whose completed executions are the [(elem, start, finish)] records,
+    [finish] exclusive: a realized log in which overruns stretch
+    executions and aborts lose them, so no slot array describes it.
+    Each element's records, in list order, become its instances.
+    Raises [Invalid_argument] on a negative horizon, an unknown
+    element, [start < 0], [start >= finish] or [finish > horizon], and on
+    records out of pipeline order: per element, starts and finishes
+    must both strictly ascend. *)
 
 val max_horizon : int
 (** [2^23] slots: the longest trace an analysis unrolls (a few hundred
@@ -59,10 +69,3 @@ val first_index_at_or_after : t -> elem:int -> time:int -> int option
 
 val nth_instance : t -> elem:int -> int -> instance option
 (** [nth_instance tr ~elem k] is execution number [k] of [elem]. *)
-
-val pipeline_ordered : t -> bool
-(** Sanity check of the paper's pipeline-ordering property on the
-    decomposition: per element, starts are strictly increasing and
-    finish order equals start order.  True by construction for
-    single-processor traces; exported for use on externally produced
-    traces. *)

@@ -183,124 +183,76 @@ let synthesize ?(n_procs = 2) ?msg_cost ?arq_slack ?max_hyperperiod
       in
       synthesize_with ?msg_cost ?arq_slack ?max_hyperperiod m partition
 
-let verify (m : Model.t) r =
-  let errs = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let hyper = r.hyperperiod in
-  List.iter
-    (fun (plan : Decompose.plan) ->
-      let rec invocations t =
-        if t >= hyper then ()
-        else begin
-          List.iteri
-            (fun i (w : Decompose.windowed) ->
-              let w0 = t + w.Decompose.start_off
-              and w1 = t + w.Decompose.end_off in
-              match w.Decompose.piece with
-              | Decompose.Segment s ->
-                  let sched = r.processor_schedules.(s.processor) in
-                  (* Ops in order: advance a cursor collecting each
-                     op's weight worth of slots inside the window. *)
-                  let cursor = ref w0 in
-                  List.iter
-                    (fun e ->
-                      let needed = ref (Comm_graph.weight m.comm e) in
-                      while !needed > 0 && !cursor < w1 do
-                        (* Schedule.slot wraps round-robin, matching the
-                           cyclic trace. *)
-                        (if Schedule.slot sched !cursor = Schedule.Run e then
-                           decr needed);
-                        incr cursor
-                      done;
-                      if !needed > 0 then
-                        err
-                          "%s@%d piece %d: op %s not completed inside                            window [%d,%d) on processor %d"
-                          plan.Decompose.constraint_name t i
-                          (Comm_graph.element m.comm e).Element.name w0 w1
-                          s.processor)
-                    s.ops
-              | Decompose.Message msg ->
-                  if msg.cost > 0 then begin
-                    let name =
-                      Printf.sprintf "%s@%d/%d" plan.Decompose.constraint_name
-                        t i
-                    in
-                    let count = ref 0 in
-                    for slot = w0 to min (w1 - 1) (Array.length r.bus - 1) do
-                      if r.bus.(slot) = Some name then incr count
-                    done;
-                    if !count < msg.cost then
-                      err
-                        "%s: message %s only %d/%d slots inside window                          [%d,%d)"
-                        plan.Decompose.constraint_name name !count
-                        msg.cost w0 w1
-                  end)
-            plan.Decompose.pieces;
-          invocations (t + plan.Decompose.period)
-        end
-      in
-      invocations 0)
-    r.plans;
-  match !errs with [] -> Ok () | es -> Error (List.rev es)
+let walk_pieces g ~slot ~bus ~msg_slots (plan : Decompose.plan) ~arrival =
+  let fits = ref true in
+  (* Where [needed] slots that [hit] have gone by, scanning from [from];
+     the window's end, and a miss, when it closes first. *)
+  let find ~from ~w1 ~needed hit =
+    let needed = ref needed and cursor = ref from in
+    while !needed > 0 && !cursor < w1 do
+      if hit !cursor then decr needed;
+      incr cursor
+    done;
+    if !needed > 0 then begin
+      fits := false;
+      w1
+    end
+    else !cursor
+  in
+  let completion = ref arrival in
+  List.iteri
+    (fun i (w : Decompose.windowed) ->
+      let w0 = arrival + w.start_off and w1 = arrival + w.end_off in
+      match w.piece with
+      | Decompose.Segment s ->
+          (* Ops in order: one cursor collects each op's weight worth of
+             its processor's slots inside the window. *)
+          let runs e t =
+            match slot s.processor t with
+            | Schedule.Run e' -> e' = e
+            | Schedule.Idle -> false
+          in
+          let cursor =
+            List.fold_left
+              (fun from e ->
+                find ~from ~w1 ~needed:(Comm_graph.weight g e) (runs e))
+              w0 s.ops
+          in
+          completion := max !completion cursor
+      | Decompose.Message msg ->
+          let needed = if msg.cost > 0 then msg_slots msg.cost else 0 in
+          if needed > 0 then begin
+            let name =
+              Printf.sprintf "%s@%d/%d" plan.constraint_name arrival i
+            in
+            let carries t =
+              match bus t with Some n -> String.equal n name | None -> false
+            in
+            completion := max !completion (find ~from:w0 ~w1 ~needed carries)
+          end)
+    plan.pieces;
+  (!completion, !fits)
 
 let response_bounds (m : Model.t) r =
-  let hyper = r.hyperperiod in
+  let slot p t = Schedule.slot r.processor_schedules.(p) t in
+  let bus t = if t < Array.length r.bus then r.bus.(t) else None in
   List.map
     (fun (plan : Decompose.plan) ->
-      let worst = ref 0 in
-      let rec invocations t =
-        if t >= hyper then ()
-        else begin
-          let completion = ref t in
-          List.iteri
-            (fun i (w : Decompose.windowed) ->
-              let w0 = t + w.Decompose.start_off
-              and w1 = t + w.Decompose.end_off in
-              match w.Decompose.piece with
-              | Decompose.Segment s ->
-                  let sched = r.processor_schedules.(s.processor) in
-                  let cursor = ref w0 in
-                  List.iter
-                    (fun e ->
-                      let needed = ref (Comm_graph.weight m.comm e) in
-                      while !needed > 0 && !cursor < w1 do
-                        (if Schedule.slot sched !cursor = Schedule.Run e then
-                           decr needed);
-                        incr cursor
-                      done;
-                      (* On a verified result every op fits its window;
-                         fall back to the window end otherwise so the
-                         bound stays conservative. *)
-                      if !needed > 0 then cursor := w1)
-                    s.ops;
-                  completion := max !completion !cursor
-              | Decompose.Message msg ->
-                  if msg.cost > 0 then begin
-                    let name =
-                      Printf.sprintf "%s@%d/%d" plan.Decompose.constraint_name
-                        t i
-                    in
-                    (* [msg.cost] already includes the ARQ slack (the plan
-                       was decomposed at the inflated cost), so the bound
-                       charges the full reserved slots even though a
-                       fault-free run finishes earlier. *)
-                    let needed = ref msg.cost in
-                    let cursor = ref w0 in
-                    let limit = min w1 (Array.length r.bus) in
-                    while !needed > 0 && !cursor < limit do
-                      (if r.bus.(!cursor) = Some name then decr needed);
-                      incr cursor
-                    done;
-                    if !needed > 0 then cursor := w1;
-                    completion := max !completion !cursor
-                  end)
-            plan.Decompose.pieces;
-          worst := max !worst (!completion - t);
-          invocations (t + plan.Decompose.period)
-        end
+      (* [msg.cost] already includes the ARQ slack (the plan was
+         decomposed at the inflated cost), so the bound charges the full
+         reserved slots even though a fault-free run finishes earlier.
+         On a verified result every piece fits its window; a piece that
+         does not completes at its window's end, so the bound stays
+         conservative. *)
+      let rec worst t acc =
+        if t >= r.hyperperiod then acc
+        else
+          let completion, _ =
+            walk_pieces m.comm ~slot ~bus ~msg_slots:Fun.id plan ~arrival:t
+          in
+          worst (t + plan.period) (max acc (completion - t))
       in
-      invocations 0;
-      (plan.Decompose.constraint_name, !worst))
+      (plan.constraint_name, worst 0 0))
     r.plans
 
 let pp_result (m : Model.t) fmt r =

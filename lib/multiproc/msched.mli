@@ -6,8 +6,9 @@
     per-processor EDF meets every segment window
     ([Rt_core.Edf_cyclic]); bus EDF meets every message window
     ({!Netsched}); chained windows imply the end-to-end deadline.  The
-    per-processor schedules are additionally re-verified with
-    [Rt_core.Latency] window checks at the segment level. *)
+    trusted [Rt_check.Checker.check_multi] re-derives every window from
+    the model and replays the tables independently ({!Mcert} builds its
+    certificate). *)
 
 type result = {
   partition : Partition.t;
@@ -58,6 +59,28 @@ val synthesize_with :
     with {!Partition.repair} and must keep the surviving assignment.
     [n_procs] is the partition's. *)
 
+val walk_pieces :
+  Rt_core.Comm_graph.t ->
+  slot:(int -> int -> Rt_core.Schedule.slot) ->
+  bus:(int -> string option) ->
+  msg_slots:(int -> int) ->
+  Decompose.plan ->
+  arrival:int ->
+  int * bool
+(** [walk_pieces g ~slot ~bus ~msg_slots plan ~arrival] follows the
+    invocation of [plan] arriving at [arrival] through its pieces'
+    windows and answers its completion and whether every piece fit.
+    A segment's ops are found in order, each op's weight worth of
+    [slot processor t = Run op] slots, by one cursor that starts at the
+    window's start; a message needs [msg_slots cost] slots [t] with
+    [bus t = Some "name@arrival/index"] (a message planned at cost 0,
+    or needing 0 slots, is not on the bus).  A piece completes where
+    its last slot was found, or at its window's end when the window
+    closes first, which makes the answer's [bool] false.  The
+    completion is the latest piece completion, and at least
+    [arrival].  Both lookups are total: outside the log they answer
+    [Idle] and [None]. *)
+
 val response_bounds : Rt_core.Model.t -> result -> (string * int) list
 (** [response_bounds m r] measures, per constraint (by name, in plan
     order), the worst realized end-to-end response over one
@@ -68,19 +91,6 @@ val response_bounds : Rt_core.Model.t -> result -> (string * int) list
     the final piece's completion minus the arrival.  The slack
     [deadline - bound] is what a reconfiguration latency must fit
     into ({!Contingency.admits_reconfiguration}). *)
-
-val verify : Rt_core.Model.t -> result -> (unit, string list) Stdlib.result
-(** [verify m r] independently re-checks the assembled system: for
-    every constraint invocation within the hyperperiod and every piece
-    of its plan, the owning processor's schedule must contain the
-    segment's operations (in order, each within the piece's window),
-    and the bus schedule must carry each message's slots within its
-    window.  Element occurrences are counted per window, so when two
-    constraints share an element on one processor inside overlapping
-    windows the check is conservative in their favour; all workloads
-    produced by {!Decompose} give each op its own window chain, and the
-    EDF constructors guarantee the stronger property.  Returns all
-    diagnostics on failure. *)
 
 val pp_result : Rt_core.Model.t -> Format.formatter -> result -> unit
 (** Human-readable summary (partition, loads, cut, feasibility). *)

@@ -36,3 +36,20 @@ let legal ~separation arrivals =
     | [] -> true
   in
   go arrivals
+
+let validate ~caller (m : Rt_core.Model.t) ~horizon arrivals =
+  List.iter
+    (fun (name, times) ->
+      let refuse what =
+        invalid_arg (Printf.sprintf "%s: %s %s" caller what name)
+      in
+      match Rt_core.Model.find m name with
+      | exception Not_found -> refuse "unknown constraint"
+      | c ->
+          if not (Rt_core.Timing.is_asynchronous c) then
+            refuse "arrivals given for periodic constraint";
+          if not (legal ~separation:c.period times) then
+            refuse "illegal arrival sequence for";
+          if List.exists (fun t -> t >= horizon) times then
+            refuse "arrival beyond horizon for")
+    arrivals

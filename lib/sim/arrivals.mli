@@ -29,3 +29,14 @@ val adversarial_phases :
 val legal : separation:int -> int list -> bool
 (** Whether a sequence is sorted, non-negative and respects the minimum
     separation. *)
+
+val validate :
+  caller:string ->
+  Rt_core.Model.t ->
+  horizon:int ->
+  (string * int list) list ->
+  unit
+(** [validate ~caller m ~horizon arrivals] checks the replay runtimes'
+    arrival argument: every name is an asynchronous constraint of [m]
+    and its sequence is {!legal} and inside the horizon.  Raises
+    [Invalid_argument] prefixed with [caller] otherwise. *)

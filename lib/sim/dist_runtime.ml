@@ -342,8 +342,10 @@ let run ?crit ?(crashes = []) ?(net_faults = []) ?(policy = Failover)
           bus_log.(t) <- Some it.b_name
         end
   done;
-  (* Evaluate every invocation against the realized logs, with the same
-     window-by-window matching as the offline verifier. *)
+  (* Evaluate every invocation against the realized logs, with the piece
+     walk that bounds responses offline; past the span nothing runs. *)
+  let slot proc t = if t < span then exec.(proc).(t) else Schedule.Idle in
+  let bus t = if t < span then bus_log.(t) else None in
   let evaluate p =
     match p.p_plan with
     | None ->
@@ -360,56 +362,20 @@ let run ?crit ?(crashes = []) ?(net_faults = []) ?(policy = Failover)
           config = p.p_config;
         }
     | Some plan ->
-        let ok = ref true in
-        let completion = ref p.p_arrival in
-        List.iteri
-          (fun i (w : Mp.Decompose.windowed) ->
-            let w0 = p.p_arrival + w.Mp.Decompose.start_off
-            and w1 = min (p.p_arrival + w.Mp.Decompose.end_off) span in
-            match w.Mp.Decompose.piece with
-            | Mp.Decompose.Segment s ->
-                let cursor = ref w0 in
-                List.iter
-                  (fun e ->
-                    let needed = ref (Comm_graph.weight m.comm e) in
-                    while !needed > 0 && !cursor < w1 do
-                      (if exec.(s.processor).(!cursor) = Schedule.Run e then
-                         decr needed);
-                      incr cursor
-                    done;
-                    if !needed > 0 then begin
-                      ok := false;
-                      cursor := w1
-                    end)
-                  s.ops;
-                completion := max !completion !cursor
-            | Mp.Decompose.Message msg ->
-                if msg.cost > 0 && p.p_msg_real > 0 then begin
-                  let name =
-                    Printf.sprintf "%s@%d/%d" p.p_name p.p_arrival i
-                  in
-                  let needed = ref p.p_msg_real in
-                  let cursor = ref w0 in
-                  while !needed > 0 && !cursor < w1 do
-                    (if bus_log.(!cursor) = Some name then decr needed);
-                    incr cursor
-                  done;
-                  if !needed > 0 then begin
-                    ok := false;
-                    cursor := w1
-                  end;
-                  completion := max !completion !cursor
-                end)
-          plan.Mp.Decompose.pieces;
+        let completion, met =
+          Mp.Msched.walk_pieces m.comm ~slot ~bus
+            ~msg_slots:(fun _ -> p.p_msg_real)
+            plan ~arrival:p.p_arrival
+        in
         {
           constraint_name = p.p_name;
           criticality = p.p_crit;
           arrival = p.p_arrival;
           deadline = p.p_deadline;
           processor = p.p_proc;
-          completion = (if !ok then Some !completion else None);
-          response = (if !ok then Some (!completion - p.p_arrival) else None);
-          met = !ok;
+          completion = (if met then Some completion else None);
+          response = (if met then Some (completion - p.p_arrival) else None);
+          met;
           shed = false;
           config = p.p_config;
         }

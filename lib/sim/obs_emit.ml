@@ -43,8 +43,7 @@ let schedule g sched ~tid ~horizon =
 let executions g ~tid records =
   if Tracer.enabled () then
     List.iter
-      (fun (e, start, finish) ->
-        emit_span g ~tid e ~start ~stop_excl:(finish + 1))
+      (fun (e, start, finish) -> emit_span g ~tid e ~start ~stop_excl:finish)
       records
 
 let instant ~tid ~at name =

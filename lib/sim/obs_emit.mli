@@ -18,8 +18,8 @@ val schedule : Comm_graph.t -> Schedule.t -> tid:int -> horizon:int -> unit
 
 val executions : Comm_graph.t -> tid:int -> (int * int * int) list -> unit
 (** Emit explicit [(elem, start, finish)] execution records as recorded
-    by {!Robust_runtime} — [finish] is the last busy slot (inclusive),
-    so the span covers [finish - start + 1] slots. *)
+    by {!Robust_runtime} — [finish] is one past the last busy slot, so
+    the span covers [finish - start] slots. *)
 
 val instant : tid:int -> at:int -> string -> unit
 (** Flag a simulation event (miss, fault, detection) at slot [at]. *)

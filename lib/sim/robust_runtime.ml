@@ -49,60 +49,6 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Completion search over the realized execution log                   *)
-(*                                                                     *)
-(* The realized log is not a round-robin trace (overruns stretch       *)
-(* executions, aborts lose them), so the static-trace machinery of     *)
-(* [Trace]/[Latency] does not apply; the same backtracking matching is *)
-(* reimplemented over explicit (elem, start, finish) execution         *)
-(* records.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let executes_within ~insts_of (tg : Task_graph.t) ~t0 ~t1 =
-  let order = Task_graph.topological_order tg in
-  let n = Task_graph.size tg in
-  let preds = Array.make n [] in
-  List.iter
-    (fun (u, v) -> preds.(v) <- u :: preds.(v))
-    (Task_graph.edges tg);
-  let finish_of = Array.make n 0 in
-  let used = Hashtbl.create 8 in
-  let rec go = function
-    | [] -> true
-    | v :: rest ->
-        let e = Task_graph.element_of_node tg v in
-        let earliest =
-          List.fold_left (fun acc u -> max acc finish_of.(u)) t0 preds.(v)
-        in
-        let rec try_cands = function
-          | [] -> false
-          | (s, f) :: cands ->
-              if s > t1 then false
-              else if
-                s >= earliest && f <= t1 && not (Hashtbl.mem used (e, s))
-              then begin
-                Hashtbl.add used (e, s) ();
-                finish_of.(v) <- f;
-                if go rest then true
-                else begin
-                  Hashtbl.remove used (e, s);
-                  try_cands cands
-                end
-              end
-              else try_cands cands
-        in
-        try_cands (insts_of e)
-  in
-  go order
-
-let next_completion ~insts_of ~finishes (tg : Task_graph.t) ~from =
-  (* Finish instants ascending: the first window [from, f] containing a
-     full execution gives the earliest completion. *)
-  List.find_opt
-    (fun f -> f > from && executes_within ~insts_of tg ~t0:from ~t1:f)
-    finishes
-
-(* ------------------------------------------------------------------ *)
 (* The replay engine                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -156,30 +102,18 @@ let run ?(crit = []) ?(faults = []) ?(policy = Abort_job)
             invalid_arg ("Robust_runtime.run: unknown degraded mode " ^ name))
     | _ -> None
   in
-  List.iter
-    (fun (name, times) ->
-      let c =
-        match find_constraint m0 name with
-        | Some c -> c
-        | None ->
-            invalid_arg ("Robust_runtime.run: unknown constraint " ^ name)
-      in
-      if not (Timing.is_asynchronous c) then
-        invalid_arg
-          ("Robust_runtime.run: arrivals given for periodic constraint " ^ name);
-      if not (Arrivals.legal ~separation:c.period times) then
-        invalid_arg ("Robust_runtime.run: illegal arrival sequence for " ^ name);
-      if List.exists (fun t -> t >= horizon) times then
-        invalid_arg ("Robust_runtime.run: arrival beyond horizon for " ^ name))
-    arrivals;
-  let max_cycle =
+  Arrivals.validate ~caller:"Robust_runtime.run" m0 ~horizon arrivals;
+  let longest =
     Array.fold_left
       (fun acc (md : Modes.mode) ->
-        max acc (Schedule.length md.plan.Synthesis.schedule))
-      1 modes
+        let s = md.plan.Synthesis.schedule in
+        if Schedule.length s > Schedule.length acc then s else acc)
+      primary.Modes.plan.Synthesis.schedule modes
   in
   let readmit_after =
-    match readmit_after with Some k -> max 1 k | None -> 2 * max_cycle
+    match readmit_after with
+    | Some k -> max 1 k
+    | None -> 2 * Schedule.length longest
   in
   (* Margin so completions answering late arrivals stay observable even
      when overruns and recovery stretch the tail. *)
@@ -187,8 +121,7 @@ let run ?(crit = []) ?(faults = []) ?(policy = Abort_job)
     List.fold_left
       (fun acc (c : Timing.t) ->
         max acc
-          ((Timing.computation_time comm c + Task_graph.size c.graph + 3)
-          * max_cycle))
+          (Latency.analysis_horizon comm c.graph longest ~last_question:0))
       0 m0.Model.constraints
     + ((Timing_fault.max_extra faults + watchdog.Watchdog.stall_limit + 2)
       * 4)
@@ -362,16 +295,8 @@ let run ?(crit = []) ?(faults = []) ?(policy = Abort_job)
   mode_of_slot.(total) <- !mode_idx;
   (* ---------------------- invocation accounting ------------------ *)
   let executions = List.rev !executions in
-  let by_elem = Array.make n [] in
-  List.iter
-    (fun (e, s, f) -> by_elem.(e) <- (s, f) :: by_elem.(e))
-    (List.rev executions);
-  let insts_of e = by_elem.(e) in
-  let finishes =
-    List.map (fun (_, _, f) -> f) executions
-    |> List.sort_uniq compare
-  in
-  let invocation_of (c0 : Timing.t) arrival =
+  let trace = Trace.of_executions comm ~horizon:total executions in
+  let invocation_of cache (c0 : Timing.t) arrival =
     let mode_i = mode_of_slot.(arrival) in
     let md = modes.(mode_i) in
     let level = Criticality.level_of crit c0.name in
@@ -389,9 +314,7 @@ let run ?(crit = []) ?(faults = []) ?(policy = Abort_job)
           mode = md.Modes.name;
         }
     | Some c ->
-        let completion =
-          next_completion ~insts_of ~finishes c0.graph ~from:arrival
-        in
+        let completion = Latency.Cache.next_completion cache ~from:arrival in
         let response = Option.map (fun f -> f - arrival) completion in
         {
           constraint_name = c0.name;
@@ -406,23 +329,26 @@ let run ?(crit = []) ?(faults = []) ?(policy = Abort_job)
           mode = md.Modes.name;
         }
   in
+  (* One search state per constraint, shared by all its invocations. *)
+  let cache_of (c0 : Timing.t) = Latency.Cache.create comm c0.graph trace in
   let async_invocations =
     List.concat_map
       (fun (name, times) ->
-        let c0 = Option.get (find_constraint m0 name) in
-        List.map (invocation_of c0) times)
+        let c0 = Model.find m0 name in
+        List.map (invocation_of (cache_of c0) c0) times)
       arrivals
   in
   let periodic_invocations =
     List.concat_map
       (fun (c0 : Timing.t) ->
+        let cache = cache_of c0 in
         (* Releases are driven by the period in force at each release:
            a degraded mode that stretches the period slows the task
            down while it lasts. *)
         let rec go r acc =
           if r >= horizon then List.rev acc
           else
-            let inv = invocation_of c0 r in
+            let inv = invocation_of cache c0 r in
             let period =
               match
                 find_constraint

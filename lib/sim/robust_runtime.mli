@@ -24,9 +24,10 @@
     the offline analysis cannot see and the watchdog exists to bound.
 
     Completed executions that produce output are recorded as
-    [(element, start, finish)] records; invocation response times are
-    measured against this realized log with the same
-    execution-within-a-window matching as the offline analysis.
+    [(element, start, finish)] records, [finish] one past the last
+    slot; the realized log is read as a [Trace.of_executions], and
+    [Rt_core.Latency] answers every invocation's completion over it,
+    the search the offline analysis uses.
     Aborted executions and transient (no-output) completions serve no
     invocation.
 

@@ -15,56 +15,45 @@ type report = {
 }
 
 let run (m : Model.t) sched ~horizon ~arrivals =
-  List.iter
-    (fun (name, times) ->
-      let c =
-        try Model.find m name
-        with Not_found ->
-          invalid_arg ("Runtime.run: unknown constraint " ^ name)
-      in
-      if not (Timing.is_asynchronous c) then
-        invalid_arg ("Runtime.run: arrivals given for periodic constraint " ^ name);
-      if not (Arrivals.legal ~separation:c.period times) then
-        invalid_arg ("Runtime.run: illegal arrival sequence for " ^ name);
-      if List.exists (fun t -> t >= horizon) times then
-        invalid_arg ("Runtime.run: arrival beyond horizon for " ^ name))
-    arrivals;
+  Arrivals.validate ~caller:"Runtime.run" m ~horizon arrivals;
   (* Margin so that executions answering late arrivals are observable. *)
   let margin =
     List.fold_left
       (fun acc (c : Timing.t) ->
         max acc
-          ((Timing.computation_time m.comm c + Task_graph.size c.graph + 3)
-          * Schedule.length sched))
+          (Latency.analysis_horizon m.comm c.graph sched ~last_question:0))
       0 m.constraints
   in
   let trace = Trace.of_schedule m.comm sched ~horizon:(horizon + margin) in
-  let invocation_of (c : Timing.t) t =
-    let completion = Latency.next_completion m.comm c.graph trace ~from:t in
-    let response = Option.map (fun f -> f - t) completion in
-    {
-      constraint_name = c.name;
-      arrival = t;
-      completion;
-      response;
-      met = (match response with Some r -> r <= c.deadline | None -> false);
-    }
+  (* One search state per constraint, shared by all its invocations. *)
+  let invocations_of (c : Timing.t) times =
+    let cache = Latency.Cache.create m.comm c.graph trace in
+    List.map
+      (fun t ->
+        let completion = Latency.Cache.next_completion cache ~from:t in
+        let response = Option.map (fun f -> f - t) completion in
+        {
+          constraint_name = c.name;
+          arrival = t;
+          completion;
+          response;
+          met = (match response with Some r -> r <= c.deadline | None -> false);
+        })
+      times
   in
   let async_invocations =
     List.concat_map
-      (fun (name, times) ->
-        let c = Model.find m name in
-        List.map (invocation_of c) times)
+      (fun (name, times) -> invocations_of (Model.find m name) times)
       arrivals
   in
   let periodic_invocations =
     List.concat_map
       (fun (c : Timing.t) ->
-        let rec go t acc =
+        let rec releases t acc =
           if t >= horizon then List.rev acc
-          else go (t + c.period) (invocation_of c t :: acc)
+          else releases (t + c.period) (t :: acc)
         in
-        go c.offset [])
+        invocations_of c (releases c.offset []))
       (Model.periodic m)
   in
   let invocations =

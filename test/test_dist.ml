@@ -182,7 +182,10 @@ let test_contingency_scenarios_verified () =
           checki "dead processor idle" 0
             (Schedule.busy_slots
                s.Cg.result.Ms.processor_schedules.(dead));
-          (match Ms.verify example s.Cg.result with
+          (match
+             Rt_check.Checker.check_multi example
+               (Rt_multiproc.Mcert.scenario_cert example s)
+           with
           | Ok () -> ()
           | Error es ->
               Alcotest.failf "scenario p%d fails verification: %s" dead

@@ -7,6 +7,8 @@ module Pt = Rt_multiproc.Partition
 module Dc = Rt_multiproc.Decompose
 module Ns = Rt_multiproc.Netsched
 module Ms = Rt_multiproc.Msched
+module Mcert = Rt_multiproc.Mcert
+module Checker = Rt_check.Checker
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -409,7 +411,7 @@ let test_msched_verify_end_to_end () =
   match Ms.synthesize ~n_procs:3 ~msg_cost:1 example with
   | Error e -> Alcotest.failf "synthesis failed: %s" e
   | Ok r -> (
-      match Ms.verify example r with
+      match Checker.check_multi example (Mcert.result_cert example r) with
       | Ok () -> ()
       | Error errs ->
           Alcotest.failf "end-to-end verification failed: %s"
@@ -440,7 +442,9 @@ let test_msched_verify_detects_corruption () =
               r.Ms.processor_schedules;
         }
       in
-      (match Ms.verify example corrupted with
+      (match
+         Checker.check_multi example (Mcert.result_cert example corrupted)
+       with
       | Error _ -> ()
       | Ok () -> Alcotest.fail "blanked processor must fail verification")
 
@@ -478,7 +482,7 @@ let test_msched_round_trip () =
       match Ms.synthesize ~n_procs ~msg_cost:1 example with
       | Error e -> Alcotest.failf "synthesis failed: %s" e
       | Ok r ->
-          (match Ms.verify example r with
+          (match Checker.check_multi example (Mcert.result_cert example r) with
           | Ok () -> ()
           | Error errs ->
               Alcotest.failf "verification failed: %s" (String.concat "; " errs));

@@ -340,6 +340,56 @@ let test_trace_golden () =
             (Hashtbl.mem cats cat))
         [ "synthesis"; "exact"; "latency"; "sim" ])
 
+(* A fault-free Robust_runtime run draws each execution as one span as
+   long as its element's weight: the realized log's finishes are
+   exclusive, so back-to-back executions do not overlap on the cpu
+   track.  The elements are not pipelinable, so no execution is split. *)
+let test_robust_spans_are_weights () =
+  let comm =
+    Comm_graph.create
+      ~elements:[ ("a", 1, false); ("b", 2, false); ("c", 3, false) ]
+      ~edges:[ ("a", "b") ]
+  in
+  let id = Comm_graph.id_of_name comm in
+  let m =
+    Model.make ~comm
+      ~constraints:
+        [
+          Timing.make ~name:"ab"
+            ~graph:(Task_graph.of_chain [ id "a"; id "b" ])
+            ~period:8 ~deadline:8 ~kind:Timing.Periodic;
+          Timing.make ~name:"c" ~graph:(Task_graph.singleton (id "c"))
+            ~period:8 ~deadline:8 ~kind:Timing.Periodic;
+        ]
+  in
+  let modes =
+    match Modes.derive m [] with Ok ms -> ms | Error e -> Alcotest.fail e
+  in
+  Tracer.clear ();
+  Tracer.enable ();
+  let r =
+    Fun.protect ~finally:Tracer.disable (fun () ->
+        Rt_sim.Robust_runtime.run ~horizon:48 ~arrivals:[] modes)
+  in
+  let spans =
+    List.filter (fun (ev : Tracer.event) -> ev.ph = Tracer.X) (Tracer.drain ())
+    |> List.sort (fun (a : Tracer.event) b -> Int.compare a.ts b.ts)
+  in
+  Tracer.clear ();
+  checkb "some executions" true (r.Rt_sim.Robust_runtime.executions <> []);
+  checki "one span per execution"
+    (List.length r.Rt_sim.Robust_runtime.executions)
+    (List.length spans);
+  ignore
+    (List.fold_left
+       (fun prev_end (ev : Tracer.event) ->
+         checki (ev.name ^ " span is its weight")
+           (Comm_graph.weight comm (id ev.name) * Tracer.slot_us)
+           ev.dur;
+         checkb "spans do not overlap" true (ev.ts >= prev_end);
+         ev.ts + ev.dur)
+       0 spans)
+
 (* ------------------------------------------------------------------ *)
 (* Bench_diff (the logic behind tools/bench_check)                     *)
 (* ------------------------------------------------------------------ *)
@@ -485,6 +535,8 @@ let () =
            test_tracer_disabled_zero_events);
           ("span closes on exception", `Quick, test_tracer_span_reraises);
           ("golden Chrome trace", `Quick, test_trace_golden);
+          ("robust spans are element weights", `Quick,
+           test_robust_spans_are_weights);
         ] );
       ( "bench-diff",
         [

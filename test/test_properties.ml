@@ -425,6 +425,191 @@ let prop_decompose_fail_closed () =
         Alcotest.failf "decomposed synthesis raised %s" (Printexc.to_string exn)
   done
 
+(* 14. One window evaluator per processor model: with one mode and no
+   faults, Robust_runtime's realized log is the round-robin trace, so
+   it reports every invocation exactly as Runtime does, on generated
+   periodic-chain, DAG, single-op and Theorem-3 models with random
+   legal arrivals. *)
+let prop_faultless_robust_is_runtime () =
+  let g = seeded_prng 1515 in
+  let module Gen = Rt_workload.Model_gen in
+  let periods = [ 8; 12; 16; 24 ] in
+  let utilization () = 0.3 +. Rt_graph.Prng.float g 0.5 in
+  let models =
+    List.init 8 (fun _ ->
+        Gen.periodic_chain_model g
+          ~n_constraints:(1 + Rt_graph.Prng.int g 3)
+          ~utilization:(utilization ()) ~periods)
+    @ List.init 8 (fun _ ->
+          Gen.dag_model g
+            ~n_constraints:(1 + Rt_graph.Prng.int g 2)
+            ~utilization:(utilization ()) ~periods)
+    @ List.init 8 (fun _ ->
+          Gen.single_op_model ~max_deadline:16 g
+            ~n_constraints:(1 + Rt_graph.Prng.int g 3)
+            ~max_weight:3
+            ~target_ratio_sum:(0.3 +. Rt_graph.Prng.float g 0.6))
+    @ List.init 8 (fun _ ->
+          Gen.theorem3_model g ~n_constraints:2 ~max_weight:2)
+  in
+  let compared = ref 0 in
+  List.iter
+    (fun m ->
+      match Modes.derive m [] with
+      | Error _ -> () (* some random workloads are simply infeasible *)
+      | Ok modes ->
+          let primary = List.hd modes in
+          let plan = primary.Modes.plan in
+          let mu = plan.Synthesis.model_used in
+          let horizon = 64 + Rt_graph.Prng.int g 256 in
+          let arrivals =
+            List.map
+              (fun (c : Timing.t) ->
+                ( c.name,
+                  Rt_sim.Arrivals.random g ~horizon ~separation:c.period
+                    ~density:(0.2 +. Rt_graph.Prng.float g 0.8) ))
+              (Model.asynchronous mu)
+          in
+          let plain =
+            Rt_sim.Runtime.run mu plan.Synthesis.schedule ~horizon ~arrivals
+          in
+          let robust =
+            Rt_sim.Robust_runtime.run ~horizon ~arrivals [ primary ]
+          in
+          incr compared;
+          let key name arrival completion met =
+            Printf.sprintf "%s@%d -> %s%s" name arrival
+              (match completion with
+              | Some f -> string_of_int f
+              | None -> "none")
+              (if met then "" else " MISS")
+          in
+          Alcotest.(check (list string))
+            "same invocations"
+            (List.map
+               (fun (i : Rt_sim.Runtime.invocation) ->
+                 key i.constraint_name i.arrival i.completion i.met)
+               plain.Rt_sim.Runtime.invocations)
+            (List.map
+               (fun (i : Rt_sim.Robust_runtime.invocation) ->
+                 key i.constraint_name i.arrival i.completion i.met)
+               robust.Rt_sim.Robust_runtime.invocations))
+    models;
+  checkb "most models were replayed" true (!compared >= 24)
+
+(* The fault-free realized log of a slot array, derived apart from
+   [Trace.of_slots]: an execution starts at its element's first slot and
+   finishes one past its [weight]-th, and records appear in finish
+   order, as a replay writes them. *)
+let log_of_slots comm slots =
+  let n = Comm_graph.n_elements comm in
+  let start = Array.make n 0 and got = Array.make n 0 in
+  let log = ref [] in
+  Array.iteri
+    (fun t -> function
+      | Schedule.Idle -> ()
+      | Schedule.Run e ->
+          if got.(e) = 0 then start.(e) <- t;
+          got.(e) <- got.(e) + 1;
+          if got.(e) = Comm_graph.weight comm e then begin
+            log := (e, start.(e), t + 1) :: !log;
+            got.(e) <- 0
+          end)
+    slots;
+  List.rev !log
+
+let random_slots g =
+  let n = 1 + Rt_graph.Prng.int g 4 in
+  let comm =
+    Comm_graph.create
+      ~elements:
+        (List.init n (fun i ->
+             (Printf.sprintf "e%d" i, 1 + Rt_graph.Prng.int g 3, true)))
+      ~edges:[]
+  in
+  let slots =
+    Array.init (Rt_graph.Prng.int g 80) (fun _ ->
+        let k = Rt_graph.Prng.int g (n + 1) in
+        if k = n then Schedule.Idle else Schedule.Run k)
+  in
+  (comm, slots)
+
+(* 15. [Trace.of_executions] on a slot array's own executions builds
+   the instances [Trace.of_slots] does, also when the records of
+   different elements are interleaved in another order. *)
+let prop_of_executions_is_of_slots () =
+  let g = seeded_prng 1616 in
+  for _ = 1 to 300 do
+    let comm, slots = random_slots g in
+    let horizon = Array.length slots in
+    let expected = Trace.of_slots comm slots in
+    let log = log_of_slots comm slots in
+    let by_elem =
+      List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) log
+    in
+    List.iter
+      (fun records ->
+        let tr = Trace.of_executions comm ~horizon records in
+        checkb "same horizon" true (Trace.horizon tr = horizon);
+        for e = 0 to Comm_graph.n_elements comm - 1 do
+          checkb "same instances" true
+            (Trace.instances tr e = Trace.instances expected e)
+        done)
+      [ log; by_elem ]
+  done
+
+(* 16. [Trace.of_executions] refuses records that break pipeline
+   order (two of one element's records swapped or repeated) or leave
+   the trace. *)
+let prop_of_executions_refuses_disorder () =
+  let g = seeded_prng 1717 in
+  let refused comm ~horizon records =
+    match Trace.of_executions comm ~horizon records with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let tried = ref 0 in
+  for _ = 1 to 300 do
+    let comm, slots = random_slots g in
+    let horizon = Array.length slots in
+    let log = Array.of_list (log_of_slots comm slots) in
+    let n = Array.length log in
+    let with_records f = Array.to_list (Array.mapi f log) in
+    if n > 0 then begin
+      let i = Rt_graph.Prng.int g n in
+      let e, s, f = log.(i) in
+      let with_record r = with_records (fun k x -> if k = i then r else x) in
+      checkb "repeated record refused" true
+        (refused comm ~horizon (Array.to_list log @ [ log.(i) ]));
+      checkb "finish past the horizon refused" true
+        (refused comm ~horizon (with_record (e, s, horizon + 1)));
+      checkb "empty execution refused" true
+        (refused comm ~horizon (with_record (e, f, f)));
+      checkb "unknown element refused" true
+        (refused comm ~horizon
+           (with_record (Comm_graph.n_elements comm, s, f)));
+      (* The next record of the same element, swapped with this one. *)
+      let rec next k =
+        if k >= n then None
+        else
+          let e', _, _ = log.(k) in
+          if e' = e then Some k else next (k + 1)
+      in
+      match next (i + 1) with
+      | None -> ()
+      | Some j ->
+          incr tried;
+          let swapped =
+            with_records (fun k x ->
+                if k = i then log.(j) else if k = j then log.(i) else x)
+          in
+          checkb "swapped records refused" true (refused comm ~horizon swapped)
+    end
+  done;
+  checkb "swaps were tried" true (!tried > 50);
+  checkb "negative horizon refused" true
+    (refused (fst (random_slots g)) ~horizon:(-1) [])
+
 let () =
   Alcotest.run "cross-module-properties"
     [
@@ -453,5 +638,11 @@ let () =
             prop_decompose_single_component_identity;
           Alcotest.test_case "decomposed synthesis fails closed" `Slow
             prop_decompose_fail_closed;
+          Alcotest.test_case "faultless robust = runtime" `Quick
+            prop_faultless_robust_is_runtime;
+          Alcotest.test_case "of_executions = of_slots" `Quick
+            prop_of_executions_is_of_slots;
+          Alcotest.test_case "of_executions refuses disorder" `Quick
+            prop_of_executions_refuses_disorder;
         ] );
     ]

@@ -117,8 +117,7 @@ let test_instance_grouping () =
   checki "b first finish" 3 b1.Trace.finish;
   let b2 = (Trace.instances tr 1).(1) in
   checki "b second start" 4 b2.Trace.start;
-  checki "b second finish" 7 b2.Trace.finish;
-  checkb "slots recorded" true (b2.Trace.slots = [| 4; 6 |])
+  checki "b second finish" 7 b2.Trace.finish
 
 let test_incomplete_execution_dropped () =
   let slots = [| Schedule.Run 1 |] in
@@ -162,14 +161,23 @@ let test_instances_span_cycle_boundary () =
   let tr = Trace.of_schedule comm s ~horizon:8 in
   let insts = Trace.instances tr 2 in
   checki "two complete instances in 8 slots" 2 (Array.length insts);
-  checkb "first canonical instance is split" true
-    (insts.(0).Trace.slots = [| 0; 3 |])
+  (* split: weight 2 spread over slots 0 and 3 *)
+  checki "first canonical instance starts at 0" 0 insts.(0).Trace.start;
+  checki "first canonical instance finishes after 3" 4 insts.(0).Trace.finish
 
 let test_pipeline_ordered () =
+  (* Per element, starts strictly increase and finish order equals
+     start order. *)
   let s = sched_of [ 0; 1; 1 ] in
   let tr = Trace.of_schedule comm s ~horizon:9 in
-  checkb "canonical decomposition is pipeline-ordered" true
-    (Trace.pipeline_ordered tr)
+  List.iter
+    (fun e ->
+      let insts = Trace.instances tr e in
+      for i = 1 to Array.length insts - 1 do
+        checkb "starts ascend" true (insts.(i).start > insts.(i - 1).start);
+        checkb "finishes ascend" true (insts.(i).finish > insts.(i - 1).finish)
+      done)
+    [ 0; 1 ]
 
 let () =
   Alcotest.run "rt_core-schedule"
